@@ -9,7 +9,7 @@ future PRs have a perf trajectory to compare against:
 
 The "before" measurements reconstruct the seed paths from primitives that
 are deliberately kept in-tree (``swap_pass_reference``, the per-vertex
-``bfs_distances`` loop, ``djokovic_classes(method="loop")``), so the
+``bfs_distances`` loop, ``_djokovic_classes_loop``), so the
 comparison stays honest as the library evolves.  Each measurement is
 best-of-``repeats`` wall time; the runner exits non-zero if a kernel
 regresses below its floor (swap_pass >= 5x, partial-cube labeling >= 3x),
@@ -41,9 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import available_backends, use_backend
+from repro.core.backend import available_backends, current_backend, get_backend, use_backend
 from repro.core.contraction import make_finest_level
-from repro.core.kernels import get_backend
 from repro.core.labels import build_application_labeling
 from repro.core.swaps import swap_pass, swap_pass_reference
 from repro.graphs import generators as gen
@@ -227,8 +226,8 @@ def run(repeats: int = 5) -> dict:
     dist = all_pairs_distances(gp)
     results["djokovic_classes"] = {
         "workload": "16x16 grid, distances precomputed, production default (auto)",
-        "before_s": _best_of(lambda: djokovic_classes(gp, dist, "loop"), repeats),
-        "after_s": _best_of(lambda: djokovic_classes(gp, dist, "auto"), repeats),
+        "before_s": _best_of(lambda: _djokovic_classes_loop(gp, dist), repeats),
+        "after_s": _best_of(lambda: current_backend().djokovic_classes(gp, dist), repeats),
     }
 
     # --- wide labels: same kernels past the 63-class cap ----------------
@@ -321,8 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         "(the recorded floors in the JSON stay unscaled)",
     )
     args = ap.parse_args(argv)
-    # The "before" measurements pin explicit djokovic strategies through
-    # the deprecated method= shim on purpose; don't let the shim warn.
+    # The numba CI legs select their tier through the deprecated
+    # REPRO_KERNEL_BACKEND fallback; keep its warning out of the report.
     import warnings
 
     warnings.simplefilter("ignore", DeprecationWarning)

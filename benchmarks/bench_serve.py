@@ -132,7 +132,6 @@ def _measure(profile: LoadProfile, settings: ServeSettings, label: str) -> dict:
         "settings": {
             "window_ms": settings.window_ms,
             "max_batch": settings.max_batch,
-            "jobs": settings.jobs,
             "response_cache": settings.response_cache,
         },
         "report": report.to_json(),
@@ -148,14 +147,12 @@ def _derive(profile: LoadProfile, **overrides) -> LoadProfile:
 # ----------------------------------------------------------------------
 # Section 1: batched vs. unbatched (response cache off on both sides)
 # ----------------------------------------------------------------------
-def run_batching(profile: LoadProfile, jobs: int = 1) -> dict:
+def run_batching(profile: LoadProfile) -> dict:
     batched_settings = ServeSettings(
-        port=0, window_ms=60.0, max_batch=24, max_queue=4096, jobs=jobs,
-        response_cache=0,
+        port=0, window_ms=60.0, max_batch=24, max_queue=4096, response_cache=0,
     )
     unbatched_settings = ServeSettings(
-        port=0, window_ms=0.0, max_batch=1, max_queue=4096, jobs=1,
-        response_cache=0,
+        port=0, window_ms=0.0, max_batch=1, max_queue=4096, response_cache=0,
     )
 
     # Warmup: touch every topology/config group once so session caches
@@ -349,8 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rate", type=float, default=300.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--nh", type=int, default=1)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="run_batch worker processes inside the batched server")
     ap.add_argument("--shard-requests", type=int, default=96,
                     help="requests per cluster in the shard-scaling run")
     ap.add_argument(
@@ -371,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         hot_keys=3,
         hot_fraction=0.8,
     )
-    batching = run_batching(profile, jobs=args.jobs)
+    batching = run_batching(profile)
     response_cache = run_response_cache(profile)
     sharding = run_sharding(
         _derive(profile, requests=args.shard_requests, rate=150.0)

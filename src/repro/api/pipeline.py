@@ -58,7 +58,6 @@ from repro.graphs.graph import Graph
 from repro.mapping.objective import coco_from_distances
 from repro.partitioning.metrics import edge_cut
 from repro.partitioning.partition import Partition
-from repro.utils.parallel import preferred_mp_context
 from repro.utils.rng import SeedLike, derive_seed, make_rng
 from repro.utils.stopwatch import Stopwatch
 
@@ -456,13 +455,17 @@ class Pipeline:
         :func:`repro.utils.rng.derive_seed` on their own names, the
         experiment runner's convention).
 
-        ``jobs > 1`` fans the batch out over a worker-process pool (fork
-        on Linux -- workers inherit the warmed topology caches -- spawn
-        elsewhere).  Because every per-graph seed is derived from the
-        batch identity rather than the execution order, ``jobs=N`` is
+        ``jobs > 1`` fans the batch out over a
+        :class:`~repro.serve.pool.SupervisedPool`, one task per graph,
+        with this pipeline (and its warmed topology caches) as the pool
+        payload.  Because every per-graph seed is derived from the batch
+        identity rather than the execution order, ``jobs=N`` is
         byte-identical to ``jobs=1``; results come back in input order.
-        ``seeds`` entries must then be picklable (``None``/ints, not
-        live generators), as must any explicit stage instances.
+        A graph that kills its worker fails with
+        :class:`~repro.errors.PoisonRequestError`.  ``seeds`` entries
+        must then be picklable (``None``/ints, not live generators), as
+        must any explicit stage instances (else
+        :class:`~repro.errors.PermanentError`).
         """
         graphs = list(graphs)
         if seeds is None:
@@ -486,26 +489,28 @@ class Pipeline:
                 "run_batch(jobs>1) needs picklable seeds (None or ints); "
                 "live numpy Generators cannot cross process boundaries"
             )
+        # Imported here so importing repro.api never loads the serve tier.
+        from repro.serve.pool import SupervisedPool
+
         self.warm_caches()
-        ctx = preferred_mp_context()
-        payload = self._pickle_payload()
-        with ctx.Pool(
-            processes=min(int(jobs), len(graphs)),
-            initializer=_batch_worker_init,
-            initargs=(payload,),
+        with SupervisedPool(
+            _run_item, workers=min(int(jobs), len(graphs)), name="run-batch"
         ) as pool:
-            return pool.starmap(_batch_worker_run, zip(graphs, seeds), chunksize=1)
+            futures = [
+                pool.submit("pipeline", self, [item])[0]
+                for item in zip(graphs, seeds)
+            ]
+            return [future.result() for future in futures]
 
     def warm_caches(self) -> None:
         """Materialize the session caches this pipeline's stages will read.
 
         Called before any process boundary (``run_batch(jobs>1)``, the
-        serve tier's supervised pool): forked workers inherit the warmed
-        caches (labeling computed exactly once per batch, same as
-        ``jobs=1``) and spawn workers receive them pickled inside the
-        topology payload -- either way the *parent's* labeling counters
-        account for the work.  Verify/report hooks may read either
-        cache, so with hooks configured both get warmed.
+        serve tier's supervised pool): workers receive the warmed caches
+        pickled inside the pipeline payload (labeling computed exactly
+        once per batch, same as ``jobs=1``), so the *parent's* labeling
+        counters account for the work.  Verify/report hooks may read
+        either cache, so with hooks configured both get warmed.
         """
         has_hooks = bool(self._pre_verify or self._post_verify or self._reports)
         if self._enhance is not None or has_hooks:
@@ -548,8 +553,8 @@ class Pipeline:
             "coco_after": coco,
         }
 
-    def _pickle_payload(self) -> tuple:
-        """What crosses a process boundary instead of the Pipeline itself.
+    def __reduce__(self) -> tuple:
+        """Pickle the session and config, not the Pipeline object itself.
 
         The default ``REGISTRY`` travels as ``None`` and is re-resolved
         from the worker's own imports -- its topology builders are
@@ -557,22 +562,21 @@ class Pipeline:
         registry is included verbatim, so workers resolve the same
         strategies as the parent (an unpicklable custom registry fails
         loudly at submit time rather than silently resolving stage names
-        against the wrong registry).
+        against the wrong registry).  Explicit stage instances survive
+        when they are picklable -- all built-ins are.
         """
         return (
-            self.topology.graph,
-            self.topology._labeling,
-            self.topology._distances,
-            self.topology.name,
-            self.config,
-            self._stage_overrides,
-            None if self.registry is REGISTRY else self.registry,
+            _rebuild_pipeline,
+            (
+                self.topology.graph,
+                self.topology._labeling,
+                self.topology._distances,
+                self.topology.name,
+                self.config,
+                self._stage_overrides,
+                None if self.registry is REGISTRY else self.registry,
+            ),
         )
-
-    def __reduce__(self) -> tuple:
-        # Explicit stage instances survive when they are picklable --
-        # all built-ins are.
-        return (_rebuild_pipeline, self._pickle_payload())
 
     def _identity(
         self,
@@ -600,14 +604,8 @@ class Pipeline:
 
 
 # ----------------------------------------------------------------------
-# run_batch worker plumbing
+# Process-boundary plumbing
 # ----------------------------------------------------------------------
-#: Per-worker pipeline, set by the pool initializer.  Fork workers
-#: inherit the parent's warmed caches through the payload objects; spawn
-#: workers receive them pickled.
-_BATCH_PIPELINE: "Pipeline | None" = None
-
-
 def _rebuild_pipeline(
     graph: Graph,
     labeling: Any,
@@ -628,11 +626,7 @@ def _rebuild_pipeline(
     )
 
 
-def _batch_worker_init(payload: tuple) -> None:
-    global _BATCH_PIPELINE
-    _BATCH_PIPELINE = _rebuild_pipeline(*payload)
-
-
-def _batch_worker_run(ga: Graph, seed: SeedLike) -> PipelineResult:
-    assert _BATCH_PIPELINE is not None, "worker used before initializer ran"
-    return _BATCH_PIPELINE.run(ga, seed=seed)
+def _run_item(pipe: Pipeline, item: tuple) -> PipelineResult:
+    """``run_batch`` pool runner: one ``(graph, seed)`` through ``pipe``."""
+    ga, seed = item
+    return pipe.run(ga, seed=seed)

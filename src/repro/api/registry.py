@@ -32,8 +32,7 @@ other way around, so there are no import cycles.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -165,44 +164,6 @@ class Registry:
 
 #: The process-wide registry every built-in module registers into.
 REGISTRY = Registry()
-
-
-class RegistryView(MutableMapping):
-    """A live dict-like view of one registry namespace.
-
-    Backs the legacy module-level dicts the registry absorbed
-    (``mapping.mapper._REGISTRY``, ``experiments.matrix.
-    BUILTIN_SCENARIOS``): reads always reflect the registry's current
-    state, and writes -- the pre-registry extension pattern
-    ``table[name] = value`` -- register through instead of landing in a
-    throwaway snapshot.
-    """
-
-    def __init__(self, registry: Registry, kind: str) -> None:
-        self._registry = registry
-        self._kind = kind
-
-    def __getitem__(self, key: str) -> Any:
-        if (self._kind, key) not in self._registry:
-            raise KeyError(key)
-        return self._registry.get(self._kind, key)
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._registry.register(self._kind, key, value, overwrite=True)
-
-    def __delitem__(self, key: str) -> None:
-        if (self._kind, key) not in self._registry:
-            raise KeyError(key)
-        self._registry.unregister(self._kind, key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names(self._kind))
-
-    def __len__(self) -> int:
-        return len(self._registry.names(self._kind))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RegistryView({self._kind!r}, {dict(self)!r})"
 
 
 def register_topology(name: str, builder: Callable, *, overwrite: bool = False) -> Callable:

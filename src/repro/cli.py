@@ -181,7 +181,6 @@ def cmd_serve(args) -> int:
             window_ms=args.window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            jobs=args.jobs,
             max_sessions=args.max_sessions,
             max_pipelines=args.max_pipelines,
             labeling_cache=args.labeling_cache,
@@ -325,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dispatch a group at this many requests")
     q.add_argument("--max-queue", type=int, default=256,
                    help="admission bound on in-flight requests (429 beyond)")
-    q.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per batch dispatch")
     q.add_argument("--max-sessions", type=int, default=None,
                    help="bound the topology session LRU (evictions fall "
                    "back to the labeling disk cache)")

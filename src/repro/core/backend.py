@@ -262,11 +262,11 @@ class KernelBackend:
     def djokovic_classes(self, g, distances: np.ndarray):
         """Djokovic class computation for a gated (connected, bipartite) graph.
 
-        The reference strategy is the hybrid the old ``method="auto"``
-        kwarg selected: the one-class-at-a-time loop capped at 64
-        classes (unbeatable while classes pack into one word), falling
-        back to the fully batched ``(m, n)`` side-matrix computation
-        when the cap is hit (trees, where every edge is a class).
+        The reference strategy is a hybrid: the one-class-at-a-time
+        loop capped at 64 classes (unbeatable while classes pack into
+        one word), falling back to the fully batched ``(m, n)``
+        side-matrix computation when the cap is hit (trees, where every
+        edge is a class).
         Backends may reorder the internals but must return identical
         ``(edge_class, classes)``.
         """

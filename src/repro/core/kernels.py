@@ -49,25 +49,19 @@ Backend seam
 The innermost kernels -- the per-vertex LSB reduction and the fixpoint
 solve -- dispatch through the :mod:`repro.core.backend` protocol
 (``kernel_backend`` registrations in the unified registry: ``numpy`` /
-``numba`` / ``numba-parallel``).  The legacy ``get_backend`` /
-``set_backend`` / ``available_backends`` names are kept here as thin
-shims over that module.
+``numba`` / ``numba-parallel``); select and inspect backends there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import current_backend, resolve_backend_name, set_default_backend
-from repro.core.backend import available_backends  # noqa: F401  (re-exported shim)
+from repro.core.backend import current_backend
 from repro.core.contraction import Level
 from repro.utils.bitops import argsort_labels, label_lsb
 from repro.utils.segments import build_csr
 
 __all__ = [
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "level_csr",
     "vertex_lsb_sums",
     "sibling_pairs",
@@ -77,23 +71,6 @@ __all__ = [
     "pair_delta",
     "batch_swap_pass",
 ]
-
-
-# ----------------------------------------------------------------------
-# Backend seam (compatibility shims over repro.core.backend)
-# ----------------------------------------------------------------------
-def get_backend() -> str:
-    """Resolved name of the active kernel backend (see ``repro.core.backend``)."""
-    return resolve_backend_name()
-
-
-def set_backend(name: str | None) -> None:
-    """Force a process-default backend (``None`` restores env/auto).
-
-    Shim over :func:`repro.core.backend.set_default_backend`, kept for
-    the historical ``core.kernels`` import path.
-    """
-    set_default_backend(name)
 
 
 # ----------------------------------------------------------------------

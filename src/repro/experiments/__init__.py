@@ -47,7 +47,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.store import ArtifactStore, cell_key
-from repro.experiments.matrix import BUILTIN_SCENARIOS, Scenario, get_scenario, load_matrix
+from repro.experiments.matrix import Scenario, get_scenario, load_matrix
 from repro.experiments.claims import ClaimCheck, validate_paper_claims, render_claims
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "CellResult",
     "ArtifactStore",
     "cell_key",
-    "BUILTIN_SCENARIOS",
     "Scenario",
     "get_scenario",
     "load_matrix",

@@ -24,8 +24,9 @@ for environments without a TOML writer.  Keys match
 (``reps``, ``nh``) accepted; unknown keys, topologies, cases and
 instances fail fast at load time rather than hours into a sweep.
 
-:data:`BUILTIN_SCENARIOS` ships the three canonical matrices (``paper``,
-``widened``, ``smoke``) so the CLI works without any file.
+The canonical matrices (``paper``, ``widened``, ``smoke``, ``wide``)
+are registered under the unified registry's ``scenario`` kind (see
+:func:`builtin_scenarios`), so the CLI works without any file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import tomllib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from repro.api.registry import REGISTRY, SCENARIO, RegistryView
+from repro.api.registry import REGISTRY, SCENARIO
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentConfig, _validate_config
 from repro.experiments.topologies import (
@@ -168,13 +169,6 @@ for _scenario in (
 ):
     REGISTRY.register(SCENARIO, _scenario.name, _scenario)
 del _paper, _scenario
-
-
-#: Kept under the pre-registry name as a *live* view of the unified
-#: registry (kind ``scenario``): reads always reflect later
-#: registrations and item assignment registers through, so the
-#: ``repro.experiments.BUILTIN_SCENARIOS`` re-export stays consistent.
-BUILTIN_SCENARIOS = RegistryView(REGISTRY, SCENARIO)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

@@ -62,7 +62,6 @@ from repro.obs import get_logger
 from repro.obs.trace import TraceBuffer, Tracer
 from repro.partitioning.kway import partition_kway
 from repro.partitioning.partition import Partition
-from repro.utils.parallel import preferred_mp_context
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.stopwatch import Stopwatch
 from repro._version import __version__
@@ -338,16 +337,12 @@ def _execute(tasks: list, jobs: int, dispatch: str = "pool") -> tuple[list, int]
         )
     if jobs <= 1 or not tasks or (dispatch == "pool" and len(tasks) <= 1):
         return [_run_task(t) for t in tasks], 0
+    if dispatch == "shards":
+        return _execute_sharded(tasks, jobs)
     from repro.serve.pool import SupervisedPool
 
-    ctx = preferred_mp_context()
-    if dispatch == "shards":
-        return _execute_sharded(tasks, jobs, ctx)
     with SupervisedPool(
-        _sweep_runner,
-        workers=min(jobs, len(tasks)),
-        mp_context=ctx,
-        name="sweep",
+        _sweep_runner, workers=min(jobs, len(tasks)), name="sweep"
     ) as pool:
         # One pool task per sweep task (singleton items): a crash
         # requeues exactly its (instance, rep) cell block, and repeated
@@ -363,7 +358,7 @@ def _execute(tasks: list, jobs: int, dispatch: str = "pool") -> tuple[list, int]
     return outputs, restarts
 
 
-def _execute_sharded(tasks: list, jobs: int, ctx) -> tuple[list, int]:
+def _execute_sharded(tasks: list, jobs: int) -> tuple[list, int]:
     """Topology-pinned fan-out: every (task, topology) split runs on the
     worker that consistent-hash-owns the topology.
 
@@ -389,9 +384,7 @@ def _execute_sharded(tasks: list, jobs: int, ctx) -> tuple[list, int]:
                 tuple(task.cells[i] for i in idxs),
             )
             splits.append((ti, idxs, sub, int(router.route(topo_name))))
-    with SupervisedPool(
-        _sweep_runner, workers=int(jobs), mp_context=ctx, name="sweep"
-    ) as pool:
+    with SupervisedPool(_sweep_runner, workers=int(jobs), name="sweep") as pool:
         futures = [
             pool.submit("sweep", None, [sub], worker=pin)[0]
             for _ti, _idxs, sub, pin in splits

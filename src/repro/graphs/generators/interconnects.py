@@ -33,12 +33,7 @@ from repro.graphs.builder import from_arrays
 from repro.graphs.graph import Graph
 
 
-def fat_tree(
-    arity: int,
-    height: int,
-    name: str | None = None,
-    check_labelable: bool = True,
-) -> Graph:
+def fat_tree(arity: int, height: int, name: str | None = None) -> Graph:
     """Complete ``arity``-ary tree of the given height (root at id 0).
 
     ``height`` counts edge levels: ``height == 0`` is the bare root,
@@ -48,11 +43,8 @@ def fat_tree(
 
     A tree's isometric dimension equals its edge count; dimensions beyond
     63 now label into the wide multi-word representation, so fat-trees of
-    any size build and label.  ``check_labelable`` is kept for backward
-    compatibility with the era of the 64-PE packed-label cap and is
-    ignored -- every fat-tree is labelable.
+    any size build and label.
     """
-    del check_labelable  # historical cap escape hatch; the cap is gone
     if arity < 2:
         raise ValueError(f"fat-tree arity must be >= 2, got {arity}")
     if height < 0:

@@ -28,7 +28,6 @@ structure directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +86,7 @@ class PartialCubeLabeling:
         return unpack_bit_matrix(self.labels, self.dim)
 
 
-def djokovic_classes(
-    g: Graph, distances: np.ndarray | None = None, method: str | None = None
-):
+def djokovic_classes(g: Graph, distances: np.ndarray | None = None):
     """Compute the Djokovic classes of a connected bipartite graph.
 
     Returns ``(edge_class, classes)`` where ``edge_class`` assigns every
@@ -105,23 +102,10 @@ def djokovic_classes(
     one word -- and falls back to the fully batched ``(m, n)``
     side-matrix computation when the cap is hit (trees, where every edge
     is a class).  All strategies produce identical output on partial
-    cubes, so callers never branch on representation or method.
-
-    ``method`` (``"loop"`` / ``"vectorized"`` / ``"auto"``) is a
-    **deprecated** shim for the pre-backend API; passing it still forces
-    the named strategy but warns.
+    cubes, so callers never branch on representation.  The two
+    strategies stay importable as ``_djokovic_classes_loop`` (the
+    reference oracle) and ``_djokovic_classes_vectorized``.
     """
-    if method is not None:
-        if method not in ("auto", "vectorized", "loop"):
-            raise ValueError(
-                f"unknown method {method!r}; expected auto, vectorized or loop"
-            )
-        warnings.warn(
-            "djokovic_classes(method=...) is deprecated; the strategy is "
-            "owned by the kernel backend (see repro.core.backend)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if g.n == 0:
         return np.empty(0, np.int64), []
     if not is_connected(g):
@@ -132,15 +116,6 @@ def djokovic_classes(
         raise NotPartialCubeError("graph is not bipartite", reason="not-bipartite")
     if distances is None:
         distances = all_pairs_distances(g)
-    if method == "loop":
-        return _djokovic_classes_loop(g, distances)
-    if method == "vectorized":
-        return _djokovic_classes_vectorized(g, distances)
-    if method == "auto":
-        capped = _djokovic_classes_loop(g, distances, max_classes=MAX_LABEL_BITS + 1)
-        if capped is not None:
-            return capped
-        return _djokovic_classes_vectorized(g, distances)
     # Imported lazily: repro.core's package __init__ imports this module,
     # so a top-level import of repro.core.backend would cycle.
     from repro.core.backend import current_backend

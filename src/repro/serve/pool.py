@@ -16,14 +16,16 @@ injected chaos fault) does not poison the pool or lose work:
    :class:`~repro.errors.PoisonRequestError` while every other item in
    the batch still succeeds.
 
-Payloads (e.g. a pickled pipeline) are content-addressed by
-``payload_key`` and shipped to each worker at most once; workers
-memoize the materialized object (``setup(payload)``) so repeated
-batches for the same group reuse warm caches.  Per-item *exceptions*
-raised by ``runner`` are not crashes -- they travel back on the result
-channel and fail only their own future, which is what lets the serve
-layer's retry policy treat injected :class:`TransientError` faults
-differently from worker deaths.
+Payloads (e.g. a pipeline) are content-addressed by ``payload_key`` and
+shipped to each worker at most once; workers unpickle each payload on
+first use and keep it, so repeated batches for the same group reuse
+warm caches.  Per-item *exceptions* raised by ``runner`` are not
+crashes -- they travel back on the result channel and fail only their
+own future, which is what lets the serve layer's retry policy treat
+injected :class:`TransientError` faults differently from worker deaths.
+A task whose payload or items cannot be pickled fails with
+:class:`~repro.errors.PermanentError`; the supervisor keeps serving
+every other task.
 
 Everything here is deliberately deterministic: no randomized backoff,
 no time-based decisions beyond liveness polling.  Retry pacing and
@@ -60,19 +62,21 @@ def _sendable(exc: BaseException) -> Exception:
         return PermanentError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(conn, runner, setup, generation: int) -> None:
+def _worker_main(conn, runner, generation: int) -> None:
     """Worker process loop: receive payloads and tasks, send results.
 
-    A worker keeps raw payloads and their materialized contexts keyed by
-    ``payload_key``; re-sending a key replaces both (the parent only
-    re-sends when content changed).  Fault hooks run *inside* the
-    worker so an injected kill takes down a real process and exercises
-    the supervisor's actual recovery path.
+    A worker keeps payloads as the pickled bytes the parent sent and
+    their unpickled contexts keyed by ``payload_key``; re-sending a key
+    replaces both.  Unpickling happens inside the task's ``try``, so a
+    payload that cannot be rebuilt here fails its task's items instead
+    of killing the worker.  Fault hooks run *inside* the worker so an
+    injected kill takes down a real process and exercises the
+    supervisor's actual recovery path.
     """
     set_process_fields(worker_generation=generation)
     plan = FaultPlan.from_env()
     clock = FaultClock()
-    payloads: dict[str, object] = {}
+    blobs: dict[str, bytes] = {}
     contexts: dict[str, object] = {}
     while True:
         try:
@@ -83,20 +87,17 @@ def _worker_main(conn, runner, setup, generation: int) -> None:
         if kind == "stop":
             return
         if kind == "payload":
-            _, key, payload = msg
-            payloads[key] = payload
+            _, key, blob = msg
+            blobs[key] = blob
             contexts.pop(key, None)
             continue
         _, task_id, key, items = msg
         results: list[tuple[str, object]] = []
         try:
             on_task(plan, clock, generation=generation)
-            if key in contexts:
-                ctx = contexts[key]
-            else:
-                payload = payloads.get(key)
-                ctx = setup(payload) if setup is not None else payload
-                contexts[key] = ctx
+            if key not in contexts:
+                contexts[key] = pickle.loads(blobs[key])
+            ctx = contexts[key]
         except Exception as exc:
             err = _sendable(exc)
             results = [("err", err) for _ in items]
@@ -148,11 +149,7 @@ class SupervisedPool:
     Parameters
     ----------
     runner:
-        picklable ``runner(context, item) -> result`` executed per item.
-    setup:
-        optional picklable ``setup(payload) -> context`` memoized per
-        payload key in each worker; when ``None`` the raw payload is
-        passed to ``runner`` directly.
+        picklable ``runner(payload, item) -> result`` executed per item.
     workers:
         number of worker processes (the pool keeps this many alive).
     max_item_retries:
@@ -163,9 +160,7 @@ class SupervisedPool:
     def __init__(
         self,
         runner,
-        setup=None,
         workers: int = 2,
-        mp_context=None,
         max_item_retries: int = 1,
         name: str = "pool",
     ) -> None:
@@ -174,9 +169,8 @@ class SupervisedPool:
         if max_item_retries < 0:
             raise ConfigurationError("max_item_retries must be >= 0")
         self._runner = runner
-        self._setup = setup
         self._size = int(workers)
-        self._ctx = mp_context if mp_context is not None else preferred_mp_context()
+        self._ctx = preferred_mp_context()
         self._max_item_retries = int(max_item_retries)
         self._name = name
         self._lock = threading.Lock()
@@ -270,7 +264,7 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._runner, self._setup, generation),
+            args=(child_conn, self._runner, generation),
             daemon=True,
             name=f"{self._name}-w{next(self._worker_ids)}g{generation}",
         )
@@ -335,7 +329,8 @@ class SupervisedPool:
                 payload = self._payloads[task.payload_key]
             try:
                 if task.payload_key not in worker.seen:
-                    worker.conn.send(("payload", task.payload_key, payload))
+                    blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+                    worker.conn.send(("payload", task.payload_key, blob))
                     worker.seen.add(task.payload_key)
                 worker.conn.send(("task", task.id, task.payload_key, task.items))
             except (BrokenPipeError, OSError):
@@ -343,6 +338,20 @@ class SupervisedPool:
                 # without charging a crash to the task, reap via sentinel.
                 with self._lock:
                     self._pending.appendleft(task)
+                continue
+            except Exception as exc:  # noqa: BLE001 - payload/items unpicklable
+                # Pickling fails before any byte is written, so the pipe
+                # is still clean: fail this task and keep supervising.
+                self._log.warn(
+                    "task_unsendable", error=type(exc).__name__, message=str(exc)
+                )
+                err = PermanentError(
+                    f"task could not be sent to a worker: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                for future in task.futures:
+                    if not future.done():
+                        future.set_exception(err)
                 continue
             worker.current = task
             with self._lock:

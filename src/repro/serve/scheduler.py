@@ -4,10 +4,9 @@ The serving front end (:mod:`repro.serve.service`) turns every wire
 request into a :class:`MapRequest` and awaits
 :meth:`BatchScheduler.submit`.  The scheduler holds each request for at
 most one *batching window* and groups everything that arrives for the
-same ``(topology, pipeline-config identity)`` into one dispatch through
-:meth:`repro.api.Pipeline.run_batch` -- the amortization shape the API
-layer was built for (one labeling, one distance matrix, one worker-pool
-fan-out per batch instead of per request).
+same ``(topology, pipeline-config identity)`` into one dispatch on that
+group's cached :class:`repro.api.Pipeline` -- one labeling, one distance
+matrix and one executor hop per batch instead of per request.
 
 Inside a batch, requests with identical work identity -- same graph
 spec, same seed, same supplied mapping -- are **coalesced**: computed
@@ -47,11 +46,10 @@ response cache or rerouted to an enhance-free pipeline -- always
 flagged ``degraded`` so the byte-identity contract is only claimed for
 full-fidelity responses.
 
-Determinism: a batch dispatch passes each request's seed verbatim to
-``run_batch(seeds=[...])`` (in-process) or ``Pipeline.run`` (pool
-workers) -- the same call a direct library user makes.  Batched,
-coalesced, retried, ``jobs=1`` or pool-dispatched: byte-identical
-mappings on every non-degraded path.
+Determinism: every request becomes one ``Pipeline.run(graph, mu=...,
+seed=...)`` call, in-process or on a pool worker -- the same call a
+direct library user makes.  Batched, coalesced, retried, in-process or
+pool-dispatched: byte-identical mappings on every non-degraded path.
 """
 
 from __future__ import annotations
@@ -64,12 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.api.pipeline import (
-    Pipeline,
-    PipelineConfig,
-    PipelineResult,
-    _rebuild_pipeline,
-)
+from repro.api.pipeline import Pipeline, PipelineConfig, PipelineResult
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -285,13 +278,8 @@ class _Group:
 
 
 # ----------------------------------------------------------------------
-# Supervised-pool plumbing (module-level: must pickle into workers)
+# Supervised-pool runner (module-level: must pickle into workers)
 # ----------------------------------------------------------------------
-def _pool_setup(payload) -> Pipeline:
-    """Materialize a worker-side pipeline from its pickled payload."""
-    return _rebuild_pipeline(*payload)
-
-
 def _pool_run(pipe: Pipeline, item) -> tuple[PipelineResult, list]:
     """Run one work item -- the exact call a direct library user makes.
 
@@ -336,16 +324,12 @@ class BatchScheduler:
         dispatch a group as soon as it holds this many requests.
     max_queue:
         admission bound on in-flight requests across all groups.
-    jobs:
-        worker processes for ``run_batch`` inside one in-process
-        dispatch (1 = fully in-process, byte-identical either way).
     workers:
-        size of the supervised worker pool.  ``0`` (default) keeps the
-        historical in-process compute path; ``> 0`` moves batch compute
-        onto crash-supervised processes with requeue/bisection recovery.
-    dispatch_workers:
-        executor threads running batch computations; with a pool this
-        defaults to ``workers`` so groups dispatch concurrently.
+        size of the supervised worker pool.  ``0`` (default) computes
+        in-process, one request at a time on one executor thread;
+        ``> 0`` moves batch compute onto crash-supervised processes with
+        requeue/bisection recovery, dispatching up to ``workers`` groups
+        concurrently.
     max_pipelines:
         LRU bound on cached per-group pipelines (group keys embed
         client-supplied config values, so the cache must not trust
@@ -369,9 +353,7 @@ class BatchScheduler:
         window_s: float = 0.025,
         max_batch: int = 16,
         max_queue: int = 256,
-        jobs: int = 1,
         workers: int = 0,
-        dispatch_workers: int | None = None,
         max_pipelines: int = 64,
         cache: TopologyCache | None = None,
         metrics: MetricsRegistry | None = None,
@@ -381,7 +363,6 @@ class BatchScheduler:
         faults: FaultPlan | None = None,
         response_cache_size: int = 128,
         response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES,
-        degrade_margin: float = 1.2,
         tracer: Tracer | None = None,
         profile: bool = False,
         profile_top: int = 10,
@@ -398,7 +379,6 @@ class BatchScheduler:
         self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
-        self.jobs = int(jobs)
         self.max_pipelines = int(max_pipelines)
         self.cache = cache if cache is not None else TopologyCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -410,7 +390,6 @@ class BatchScheduler:
         self.response_cache = ResponseCache(
             max_entries=response_cache_size, max_bytes=response_cache_bytes
         )
-        self.degrade_margin = float(degrade_margin)
         self.tracer = tracer if tracer is not None else get_tracer()
         self.profile = bool(profile)
         self.profile_top = int(profile_top)
@@ -430,9 +409,7 @@ class BatchScheduler:
         self._pool_router = None
         if workers > 0:
             self.faults.install()  # pool workers read REPRO_FAULTS at start
-            self._pool = SupervisedPool(
-                _pool_run, setup=_pool_setup, workers=workers, name="repro-serve"
-            )
+            self._pool = SupervisedPool(_pool_run, workers=workers, name="repro-serve")
             # Pin each topology's batches to one pool worker by the same
             # rendezvous hash the shard front end uses, so per-worker
             # session caches (labeling + distances) stay hot instead of
@@ -440,10 +417,8 @@ class BatchScheduler:
             from repro.serve.shard import ShardRouter  # lazy: avoids cycle
 
             self._pool_router = ShardRouter([str(i) for i in range(workers)])
-        if dispatch_workers is None:
-            dispatch_workers = workers if workers > 0 else 1
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(dispatch_workers)),
+            max_workers=max(1, workers),
             thread_name_prefix="repro-serve",
         )
         self._dispatch_tasks: set[asyncio.Task] = set()
@@ -618,11 +593,8 @@ class BatchScheduler:
             degrade_reason = "breaker_open"
         elif request.allow_degraded and request.deadline_s is not None:
             ewma = self._compute_ewma.get(gkey)
-            if (
-                ewma is not None
-                and request.deadline_s
-                < self.degrade_margin * ewma + self.window_s
-            ):
+            # 1.2: a 20% margin over the group's per-item compute EWMA.
+            if ewma is not None and request.deadline_s < 1.2 * ewma + self.window_s:
                 degrade_reason = "deadline"
         if degrade_reason is not None:
             # The ladder's verdict is observable even when it rejects:
@@ -817,14 +789,15 @@ class BatchScheduler:
         """One compute attempt; returns a result-or-exception per request.
 
         Runs on an executor thread.  Pool mode ships ``(work-key, graph
-        wire spec, seed, mu, trace wire)`` items plus the pipeline's
-        pickled payload and blocks on the per-item futures; worker death
+        wire spec, seed, mu, trace wire)`` items plus the pipeline itself
+        as payload and blocks on the per-item futures; worker death
         surfaces here only after the supervisor's requeue/bisection gave
-        up.  ``ctxs`` are the per-item compute-span contexts: pool
-        workers parent their spans under them, in-process paths convert
-        the result's stage timings directly.
+        up.  Otherwise each request runs in-process inside its own
+        ``try``, so a malformed graph or failing run fails only its own
+        request.  ``ctxs`` are the per-item compute-span contexts: pool
+        workers parent their spans under them, the in-process loop
+        converts the result's stage timings directly.
         """
-        plan = self.faults
         if self._pool is not None:
             pipe.warm_caches()  # labeling accounted to the parent process
             items = [
@@ -843,14 +816,8 @@ class BatchScheduler:
             # All requests in a group share one topology (it is part of
             # the group key), so the whole batch pins to that topology's
             # rendezvous-routed worker -- its session cache stays hot.
-            pin = (
-                int(self._pool_router.route(reqs[0].topology))
-                if self._pool_router is not None
-                else None
-            )
-            futures = self._pool.submit(
-                gkey, pipe._pickle_payload(), items, worker=pin
-            )
+            pin = int(self._pool_router.route(reqs[0].topology))
+            futures = self._pool.submit(gkey, pipe, items, worker=pin)
             outcomes = []
             for future in futures:
                 try:
@@ -861,35 +828,21 @@ class BatchScheduler:
                 except BaseException as exc:  # noqa: BLE001 - refiled per item
                     outcomes.append(exc)
             return outcomes
-        if plan.active or any(req.mu is not None for req in reqs):
-            # Per-item execution: supplied-mapping requests cannot ride
-            # run_batch's seeds-only signature, and fault hooks need
-            # per-item failure granularity.  Kills are never honored
-            # in-process -- that would take down the service itself.
-            on_task(plan, self._fault_clock, allow_kill=False)
-            outcomes = []
-            for req, ctx in zip(reqs, ctxs):
-                try:
-                    on_item(
-                        plan, req.work_key(), self._fault_clock, allow_kill=False
-                    )
-                    ga = req.graph.build()
-                    result = pipe.run(ga, mu=req.mu, seed=req.seed)
-                    result.record_spans(self.tracer, ctx)
-                    outcomes.append(result)
-                except Exception as exc:  # noqa: BLE001 - refiled per item
-                    outcomes.append(exc)
-            return outcomes
-        graphs = [req.graph.build() for req in reqs]
-        try:
-            results = pipe.run_batch(
-                graphs, seeds=[req.seed for req in reqs], jobs=self.jobs
-            )
-        except Exception as exc:  # noqa: BLE001 - refiled per item
-            return [exc for _ in reqs]
-        for result, ctx in zip(results, ctxs):
-            result.record_spans(self.tracer, ctx)
-        return results
+        # Kills are never honored in-process -- that would take down the
+        # service itself.
+        plan = self.faults
+        on_task(plan, self._fault_clock, allow_kill=False)
+        outcomes = []
+        for req, ctx in zip(reqs, ctxs):
+            try:
+                on_item(plan, req.work_key(), self._fault_clock, allow_kill=False)
+                ga = req.graph.build()
+                result = pipe.run(ga, mu=req.mu, seed=req.seed)
+                result.record_spans(self.tracer, ctx)
+                outcomes.append(result)
+            except Exception as exc:  # noqa: BLE001 - refiled per item
+                outcomes.append(exc)
+        return outcomes
 
     def _compute_with_retries(
         self,

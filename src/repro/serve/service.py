@@ -665,8 +665,8 @@ class ServeSettings:
     window_ms: float = 25.0
     max_batch: int = 16
     max_queue: int = 256
-    jobs: int = 1
-    #: > 0 moves batch compute onto the supervised crash-tolerant pool
+    #: > 0 moves batch compute onto the supervised crash-tolerant pool;
+    #: 0 computes in-process, one request at a time
     workers: int = 0
     max_sessions: int | None = None
     #: bound on memoized per-group :class:`Pipeline` objects; pipelines
@@ -730,7 +730,6 @@ def build_service(settings: ServeSettings) -> MappingService:
         max_batch=settings.max_batch,
         max_queue=settings.max_queue,
         max_pipelines=settings.max_pipelines,
-        jobs=settings.jobs,
         workers=settings.workers,
         cache=cache,
         metrics=MetricsRegistry(),
@@ -781,7 +780,6 @@ async def _amain(settings: ServeSettings) -> int:
             window_ms=settings.window_ms,
             max_batch=settings.max_batch,
             max_queue=settings.max_queue,
-            jobs=settings.jobs,
             workers=settings.workers,
         )
         async with server:

@@ -1,9 +1,12 @@
-"""Shared multiprocessing policy for the worker pools.
+"""Shared multiprocessing start-method policy.
 
-Both the experiment runner and ``Pipeline.run_batch`` parallelize over
-identity-seeded work units, so determinism never depends on the start
-method; the choice is purely about cost and robustness, and it must be
-made *identically* everywhere -- hence this one helper.
+:class:`repro.serve.pool.SupervisedPool` is the one process pool for
+mapping work (``repro serve --workers``, the experiment runner and
+``Pipeline.run_batch(jobs>1)``); it and the shard tier's server
+processes start their children through this helper.  Every work unit is
+identity-seeded, so determinism never depends on the start method; the
+choice is purely about cost and robustness, and it must be made
+*identically* everywhere.
 """
 
 from __future__ import annotations

@@ -74,10 +74,11 @@ class TestAbsorbedRegistries:
 
     def test_initial_mapping_cases_absorbed(self):
         assert set(REGISTRY.names(INITIAL_MAPPING)) >= {"c1", "c2", "c3", "c4"}
-        # the old module-private view still answers
         from repro.mapping import mapper
 
-        assert sorted(mapper._REGISTRY) == sorted(REGISTRY.names(INITIAL_MAPPING))
+        assert sorted(mapper.available_algorithms()) == sorted(
+            REGISTRY.names(INITIAL_MAPPING)
+        )
         assert mapper.available_algorithms()["c2"].name == "identity"
 
     def test_topologies_absorbed(self):
@@ -87,36 +88,10 @@ class TestAbsorbedRegistries:
         assert ("grid4x4" in REGISTRY.names(TOPOLOGY))
 
     def test_scenarios_absorbed(self):
-        from repro.experiments.matrix import BUILTIN_SCENARIOS
+        from repro.experiments.matrix import builtin_scenarios
 
         assert set(REGISTRY.names(SCENARIO)) >= {"paper", "widened", "smoke"}
-        assert sorted(BUILTIN_SCENARIOS) == sorted(REGISTRY.names(SCENARIO))
-
-    def test_legacy_dict_writes_register_through(self):
-        """The old extension pattern ``table[name] = value`` still works:
-        the shims are live MutableMapping views, not snapshots."""
-        import repro.experiments as experiments
-        from repro.experiments.matrix import BUILTIN_SCENARIOS, Scenario, get_scenario
-        from repro.experiments.runner import ExperimentConfig
-        from repro.mapping import mapper
-        from repro.mapping.mapper import MappingAlgorithm
-
-        scenario = Scenario("_test_live", ExperimentConfig(), "live-view probe")
-        BUILTIN_SCENARIOS["_test_live"] = scenario
-        algo = MappingAlgorithm("_test_c9", "probe", lambda part, gp, seed: None)
-        mapper._REGISTRY["_test_c9"] = algo
-        try:
-            assert get_scenario("_test_live") is scenario
-            # the re-export in repro.experiments sees the same live view
-            assert "_test_live" in experiments.BUILTIN_SCENARIOS
-            assert REGISTRY.get(INITIAL_MAPPING, "_test_c9") is algo
-            assert "_test_c9" in mapper.available_algorithms()
-        finally:
-            del BUILTIN_SCENARIOS["_test_live"]
-            del mapper._REGISTRY["_test_c9"]
-        assert "_test_live" not in BUILTIN_SCENARIOS
-        with pytest.raises(KeyError):
-            BUILTIN_SCENARIOS["_test_live"]
+        assert sorted(builtin_scenarios()) == sorted(REGISTRY.names(SCENARIO))
 
     def test_custom_registrations_visible_everywhere(self):
         from repro.experiments.topologies import topology_names

@@ -12,15 +12,13 @@ diverse conflict structures (hubs, chains, isolated pairs).
 import numpy as np
 import pytest
 
+from repro.core.backend import available_backends, get_backend, set_default_backend
 from repro.core.contraction import contract_level, make_finest_level
 from repro.core.kernels import (
-    available_backends,
     batch_pair_deltas,
     batch_swap_pass,
-    get_backend,
     level_csr,
     pair_delta,
-    set_backend,
     sibling_pair_weights,
     sibling_pairs,
 )
@@ -191,10 +189,10 @@ class TestBackendSeam:
 
     def test_set_backend_roundtrip(self):
         try:
-            set_backend("numpy")
+            set_default_backend("numpy")
             assert get_backend() == "numpy"
         finally:
-            set_backend(None)
+            set_default_backend(None)
 
     def test_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
@@ -210,4 +208,4 @@ class TestBackendSeam:
         with pytest.raises(ValueError):
             get_backend()
         with pytest.raises(ValueError):
-            set_backend("cuda")
+            set_default_backend("cuda")

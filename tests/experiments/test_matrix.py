@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.matrix import (
-    BUILTIN_SCENARIOS,
     Scenario,
+    builtin_scenarios,
     config_from_mapping,
     get_scenario,
     load_matrix,
@@ -105,29 +105,29 @@ class TestConfigFromMapping:
 
 class TestBuiltins:
     def test_names(self):
-        assert set(BUILTIN_SCENARIOS) == {"paper", "widened", "smoke", "wide"}
+        assert set(builtin_scenarios()) == {"paper", "widened", "smoke", "wide"}
 
     def test_wide_scenario_covers_wide_topologies(self):
         from repro.experiments.topologies import WIDE_TOPOLOGIES
 
-        wide = BUILTIN_SCENARIOS["wide"].config
+        wide = builtin_scenarios()["wide"].config
         assert wide.topologies == WIDE_TOPOLOGIES
         assert "fattree2x7" in wide.topologies
         # instances must be at least as large as the biggest PE count
         assert wide.n_min >= 1024
 
     def test_smoke_includes_a_wide_label_topology(self):
-        assert "fattree4x3" in BUILTIN_SCENARIOS["smoke"].config.topologies
+        assert "fattree4x3" in builtin_scenarios()["smoke"].config.topologies
 
     def test_paper_matches_defaults(self):
-        assert BUILTIN_SCENARIOS["paper"].config == ExperimentConfig()
+        assert builtin_scenarios()["paper"].config == ExperimentConfig()
 
     def test_widened_extends_paper(self):
-        topos = BUILTIN_SCENARIOS["widened"].config.topologies
+        topos = builtin_scenarios()["widened"].config.topologies
         assert topos == PAPER_TOPOLOGIES + WIDENED_TOPOLOGIES
 
     def test_smoke_is_small(self):
-        cfg = BUILTIN_SCENARIOS["smoke"].config
+        cfg = builtin_scenarios()["smoke"].config
         assert cfg.n_max <= 256 and cfg.repetitions == 1
 
     def test_get_scenario_builtin(self):

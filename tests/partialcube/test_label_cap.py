@@ -25,13 +25,6 @@ class TestFatTreeCapLifted:
         assert pc.labels.shape == (127, 2) and pc.labels.dtype == np.uint64
         assert verify_labeling(t, pc.labels)
 
-    def test_check_labelable_flag_is_accepted_and_inert(self):
-        # The historical escape hatch still parses; both spellings build
-        # the same graph.
-        a = gen.fat_tree(2, 6, check_labelable=False)
-        b = gen.fat_tree(2, 6, check_labelable=True)
-        assert a.n == b.n == 127 and a.m == b.m == 126
-
     def test_narrow_fat_tree_still_narrow(self):
         # 2-ary height 5 = 63 switches = 62 classes <= 63: the packed
         # int64 fast path, unchanged.

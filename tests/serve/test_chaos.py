@@ -130,16 +130,16 @@ class TestRetries:
     def _flaky_pipe(self, scheduler, request, failures):
         """Make the group's pipeline fail ``failures`` times, then work."""
         pipe = scheduler.pipeline_for(request)
-        real = pipe.run_batch
+        real = pipe.run
         calls = {"n": 0}
 
-        def run_batch(graphs, seeds=None, jobs=1):
+        def run(ga, **kwargs):
             calls["n"] += 1
             if calls["n"] <= failures:
-                raise TransientError("injected batch failure")
-            return real(graphs, seeds=seeds, jobs=jobs)
+                raise TransientError("injected run failure")
+            return real(ga, **kwargs)
 
-        pipe.run_batch = run_batch
+        pipe.run = run
         return calls
 
     def test_transient_failure_retried_to_success(self):

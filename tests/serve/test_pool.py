@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    PermanentError,
     PoisonRequestError,
     TransientError,
 )
@@ -16,10 +17,6 @@ from repro.serve.pool import SupervisedPool
 # Module-level so both fork and spawn start methods can ship them.
 def _double(ctx, item):
     return (ctx or 0) + 2 * item
-
-
-def _setup_times_ten(payload):
-    return payload * 10
 
 
 def _crash_on_marker(_ctx, item):
@@ -47,9 +44,9 @@ class TestBasics:
             assert [f.result(timeout=30) for f in futures] == [2, 4, 6]
 
     def test_setup_payload_reaches_runner(self):
-        with SupervisedPool(_double, setup=_setup_times_ten, workers=1) as pool:
-            (future,) = pool.submit("p", 4, [1])
-            assert future.result(timeout=30) == 42  # ctx 40 + 2*1
+        with SupervisedPool(_double, workers=1) as pool:
+            (future,) = pool.submit("p", 40, [1])
+            assert future.result(timeout=30) == 42  # payload 40 + 2*1
 
     def test_item_exception_fails_only_its_future(self):
         with SupervisedPool(_crash_on_marker, workers=1) as pool:
@@ -59,6 +56,17 @@ class TestBasics:
                 futures[1].result(timeout=30)
             assert futures[2].result(timeout=30) == "b"
             assert pool.stats()["restarts"] == 0  # raise != crash
+
+    def test_unpicklable_work_fails_its_task_not_the_pool(self):
+        with SupervisedPool(_double, workers=1) as pool:
+            (bad_payload,) = pool.submit("k", lambda: 1, [1])
+            with pytest.raises(PermanentError, match="could not be sent"):
+                bad_payload.result(timeout=30)
+            (bad_item,) = pool.submit("p", None, [lambda: 1])
+            with pytest.raises(PermanentError, match="could not be sent"):
+                bad_item.result(timeout=30)
+            (good,) = pool.submit("p", None, [2])
+            assert good.result(timeout=30) == 4
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

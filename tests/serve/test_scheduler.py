@@ -72,12 +72,12 @@ class TestByteIdentity:
         for s, d in zip(served, direct):
             assert np.array_equal(s.result.mu_final, d.mu_final)
 
-    def test_served_jobs2_matches_direct(self):
+    def test_served_workers2_matches_direct(self):
         requests = [_request(seed=s) for s in (0, 1)]
         direct = [self._direct(r) for r in requests]
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8, jobs=2)
+            scheduler = BatchScheduler(window_s=0.05, max_batch=8, workers=2)
             try:
                 return await asyncio.gather(
                     *(scheduler.submit(r) for r in requests)
@@ -180,13 +180,13 @@ class TestDeadlines:
             try:
                 request = _request(seed=0, deadline_s=0.05)
                 pipe = scheduler.pipeline_for(request)
-                real_run_batch = pipe.run_batch
+                real_run = pipe.run
 
-                def slow_run_batch(graphs, **kwargs):
+                def slow_run(ga, **kwargs):
                     time.sleep(0.15)  # batch outlives the deadline
-                    return real_run_batch(graphs, **kwargs)
+                    return real_run(ga, **kwargs)
 
-                pipe.run_batch = slow_run_batch
+                pipe.run = slow_run
                 with pytest.raises(DeadlineExceededError, match="during"):
                     await scheduler.submit(request)
                 json_metrics = scheduler.metrics.render_json()

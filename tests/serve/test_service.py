@@ -98,6 +98,33 @@ class TestOps:
         assert reply["identity_hash"] == direct.identity_hash
         assert reply["batch"]["size"] == 1
 
+    def test_malformed_inline_graph_fails_alone(self, service):
+        # Same group, same window: the bad edge fails only its request.
+        bad = {
+            "topology": "grid4x4",
+            "graph": {"kind": "edges", "n": 3, "edges": [[0, 7, 1]]},
+            "config": {"nh": 1},
+        }
+        good = _map_body(seed=5)
+
+        async def go():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    service.handle("map", bad), service.handle("map", good)
+                ),
+                timeout=30,
+            )
+
+        (bad_status, bad_reply, _), (status, reply, _) = asyncio.run(go())
+        assert bad_status == 400 and bad_reply["error"] == "bad_request"
+        assert status == 200 and reply["batch"]["size"] == 2
+        request = parse_request(good)
+        direct = Pipeline(request.topology, request.config).run(
+            request.graph.build(), seed=request.seed
+        )
+        assert reply["mu"] == [int(x) for x in direct.mu_final]
+        assert service.scheduler.pending == 0
+
     def test_enhance_round_trip(self, service):
         status, mapped, _ = asyncio.run(service.handle("map", _map_body(seed=1)))
         assert status == 200
@@ -455,7 +482,7 @@ class TestFailureStatusMapping:
         def explode(*_a, **_k):
             raise TransientError("injected")
 
-        pipe.run_batch = explode
+        pipe.run = explode
         status, reply, headers = asyncio.run(service.handle("map", body))
         assert status == 503 and reply["error"] == "transient"
         assert float(headers["Retry-After"]) > 0
@@ -469,7 +496,7 @@ class TestFailureStatusMapping:
         def explode(*_a, **_k):
             raise PermanentError("unrecoverable")
 
-        pipe.run_batch = explode
+        pipe.run = explode
         status, reply, _ = asyncio.run(service.handle("map", body))
         assert status == 500 and reply["error"] == "permanent"
 

@@ -187,7 +187,7 @@ class TestClusterTracing:
     """The acceptance walk: 2 real shard processes behind the front end."""
 
     def _run_cluster_once(self, body):
-        settings = ServeSettings(window_ms=5, jobs=1)
+        settings = ServeSettings(window_ms=5)
         with ShardCluster(settings, shards=2) as cluster:
             with FrontendThread(cluster.backends) as front:
                 status, reply = asyncio.run(
