@@ -320,11 +320,6 @@ def main(argv: list[str] | None = None) -> int:
         "(the recorded floors in the JSON stay unscaled)",
     )
     args = ap.parse_args(argv)
-    # The numba CI legs select their tier through the deprecated
-    # REPRO_KERNEL_BACKEND fallback; keep its warning out of the report.
-    import warnings
-
-    warnings.simplefilter("ignore", DeprecationWarning)
     payload = run(repeats=args.repeats)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     failed = []

@@ -30,27 +30,27 @@ Selection
 ---------
 Priority, highest first:
 
-1. an explicit name passed to :func:`current_backend`;
-2. the innermost active :func:`use_backend` scope (thread-local -- the
-   pipeline wraps each run in one, so ``PipelineConfig.backend`` works
+1. the innermost active :func:`use_backend` scope (thread-local -- the
+   pipeline wraps each run in one, so ``PipelineConfig.backend``, the
+   CLI ``--backend`` flag and the serve config's ``"backend"`` key work
    under the serve tier's executor threads);
-3. the process default set via :func:`set_default_backend`;
-4. the ``REPRO_KERNEL_BACKEND`` environment variable -- **deprecated**,
-   kept as a fallback with a :class:`DeprecationWarning`;
-5. ``auto``: the fastest available tier
-   (``numba-parallel`` > ``numba`` > ``numpy``).
+2. the process default set via :func:`set_default_backend`;
+3. ``auto``.
 
-Requesting a registered-but-unavailable backend degrades along
-``numba-parallel -> numba -> numpy`` (the kernels are semantically
-identical, so degrading is safe); requesting an *unknown* name raises
-``ValueError``.
+One tier order, ``numba-parallel``, ``numba``, ``numpy``, settles the
+rest: ``auto`` takes the first available tier, and a requested tier
+that is unavailable runs the first available tier after it (the
+kernels are byte-identical, so degrading is safe).  A registered
+backend outside that order runs when requested by name and degrades
+straight to ``numpy``; ``auto`` never picks it.  An *unknown* name
+raises ``ValueError``.  Whether numba imports is probed once per
+process, on first use, so ``import repro`` never imports numba.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import threading
-import warnings
 from contextlib import contextmanager
 from collections.abc import Iterator
 
@@ -74,14 +74,9 @@ __all__ = [
     "use_backend",
 ]
 
-#: Environment variable consulted as a *deprecated* selection fallback.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: ``auto`` preference order (first available wins).
-_AUTO_ORDER = ("numba-parallel", "numba", "numpy")
-
-#: Degradation chain for registered-but-unavailable backends.
-_FALLBACK = {"numba-parallel": "numba", "numba": "numpy"}
+#: Tiers, fastest first: ``auto`` takes the first available one, and an
+#: unavailable tier degrades to the first available one after it.
+_TIERS = ("numba-parallel", "numba", "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +95,6 @@ class KernelBackend:
 
     #: Registry name; also what ``PipelineResult.backend`` records.
     name = "numpy"
-    #: True for tiers that JIT-compile their kernels.
-    compiled = False
-    #: True for tiers whose kernels run thread-parallel.
-    parallel = False
 
     def available(self) -> bool:
         """Whether this backend can run in the current process."""
@@ -284,6 +275,16 @@ class NumpyBackend(KernelBackend):
     """The always-available byte-identity reference (base-class kernels)."""
 
 
+@functools.cache
+def _numba_importable() -> bool:
+    """Whether numba imports here (probed once: it cannot change)."""
+    try:  # pragma: no cover - exercised only where numba is installed
+        import numba  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 class NumbaBackend(KernelBackend):
     """Compiled serial kernels; available only where numba imports.
 
@@ -293,18 +294,13 @@ class NumbaBackend(KernelBackend):
     """
 
     name = "numba"
-    compiled = True
     _parallel = False
 
     def __init__(self) -> None:
         self._kernels: dict | None = None
 
     def available(self) -> bool:
-        try:  # pragma: no cover - exercised only where numba is installed
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
+        return _numba_importable()
 
     # pragma: no cover on every kernel below - numba is absent from the
     # base image; the CI numba matrix leg runs them for real.
@@ -366,7 +362,6 @@ class NumbaParallelBackend(NumbaBackend):
     """The numba kernels compiled with ``parallel=True`` (prange tiers)."""
 
     name = "numba-parallel"
-    parallel = True
     _parallel = True
 
 
@@ -404,52 +399,31 @@ def _validated(name: str) -> str:
     return low
 
 
-def _env_request() -> str | None:
-    value = os.environ.get(BACKEND_ENV_VAR)
-    if not value:
-        return None
-    warnings.warn(
-        f"{BACKEND_ENV_VAR} is deprecated; select a backend with "
-        "repro.api.set_default_backend(), PipelineConfig.backend or the "
-        "--backend CLI flag",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-    return value
-
-
 def resolve_backend_name(name: str | None = None) -> str:
     """Resolve a request (or the ambient selection) to an available backend.
 
     ``None`` consults, in order: the innermost :func:`use_backend`
-    scope, the :func:`set_default_backend` override, the deprecated
-    environment variable, then ``auto``.  Unknown names raise
-    ``ValueError``; known-but-unavailable ones degrade along the
-    ``numba-parallel -> numba -> numpy`` chain.
+    scope, the :func:`set_default_backend` override, then ``auto``.
+    Unknown names raise ``ValueError``; an unavailable tier runs the
+    first available tier after it, and an unavailable registration
+    outside the tier order runs ``numpy``.
     """
-    choice = (
-        name
-        or getattr(_scope, "name", None)
-        or _default_override
-        or _env_request()
-        or "auto"
+    choice = _validated(
+        name or getattr(_scope, "name", None) or _default_override or "auto"
     )
-    choice = _validated(choice)
     if choice == "auto":
-        for candidate in _AUTO_ORDER:
-            if (KERNEL_BACKEND, candidate) in REGISTRY and REGISTRY.get(
-                KERNEL_BACKEND, candidate
-            ).available():
-                return candidate
-        return "numpy"
-    while not REGISTRY.get(KERNEL_BACKEND, choice).available():
-        choice = _FALLBACK.get(choice, "numpy")
-    return choice
+        choice = _TIERS[0]
+    chain = _TIERS[_TIERS.index(choice):] if choice in _TIERS else (choice, "numpy")
+    # The last link, numpy, is always available.
+    for tier in chain[:-1]:
+        if REGISTRY.get(KERNEL_BACKEND, tier).available():
+            return tier
+    return chain[-1]
 
 
-def current_backend(name: str | None = None) -> KernelBackend:
+def current_backend() -> KernelBackend:
     """The :class:`KernelBackend` instance the kernels should use now."""
-    return REGISTRY.get(KERNEL_BACKEND, resolve_backend_name(name))
+    return REGISTRY.get(KERNEL_BACKEND, resolve_backend_name())
 
 
 def get_backend() -> str:
@@ -458,11 +432,10 @@ def get_backend() -> str:
 
 
 def set_default_backend(name: str | None) -> None:
-    """Set the process-wide default backend (``None`` restores auto/env).
+    """Set the process-wide default backend (``None`` restores ``auto``).
 
-    This is the supported replacement for exporting
-    ``REPRO_KERNEL_BACKEND``; per-run selection goes through
-    ``PipelineConfig.backend`` instead.
+    Pool workers forked afterwards inherit it; per-run selection goes
+    through ``PipelineConfig.backend`` instead.
     """
     global _default_override
     if name is not None:

@@ -62,8 +62,14 @@ def _sendable(exc: BaseException) -> Exception:
         return PermanentError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(conn, runner, generation: int) -> None:
+def _worker_main(conn, parent_conn, runner, generation: int) -> None:
     """Worker process loop: receive payloads and tasks, send results.
+
+    The worker first closes its copy of the pipe's parent end: while any
+    copy stays open, ``recv`` never reaches EOF, and a worker whose
+    owner was killed would live on.  (Workers forked later still hold
+    copies of earlier workers' parent ends, but the newest sees EOF
+    first and its exit releases the next, so all of them exit.)
 
     A worker keeps payloads as the pickled bytes the parent sent and
     their unpickled contexts keyed by ``payload_key``; re-sending a key
@@ -73,6 +79,7 @@ def _worker_main(conn, runner, generation: int) -> None:
     injected kill takes down a real process and exercises the
     supervisor's actual recovery path.
     """
+    parent_conn.close()
     set_process_fields(worker_generation=generation)
     plan = FaultPlan.from_env()
     clock = FaultClock()
@@ -264,7 +271,7 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._runner, generation),
+            args=(child_conn, parent_conn, self._runner, generation),
             daemon=True,
             name=f"{self._name}-w{next(self._worker_ids)}g{generation}",
         )

@@ -725,6 +725,9 @@ def build_service(settings: ServeSettings) -> MappingService:
         enabled=settings.trace,
         max_traces=settings.trace_buffer,
     )
+    # Pool workers fork when the scheduler starts and resolve the hook by
+    # name, so it must be registered before then.
+    register_admission_hook(settings.max_graph_n)
     scheduler = BatchScheduler(
         window_s=settings.window_ms / 1000.0,
         max_batch=settings.max_batch,

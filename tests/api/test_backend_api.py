@@ -1,17 +1,20 @@
-"""First-class kernel-backend selection: config, scopes, env, wire, CLI.
+"""First-class kernel-backend selection: config, scopes, wire, CLI.
 
-The selection chain (explicit arg > ``use_backend`` scope >
-``set_default_backend`` > deprecated env var > auto) and its surfaces:
-``PipelineConfig.backend`` (excluded from identity), ``PipelineResult``
-provenance, the serve config key and the CLI flag.
+The selection chain (``use_backend`` scope > ``set_default_backend`` >
+auto) and its surfaces: ``PipelineConfig.backend`` (excluded from
+identity), ``PipelineResult`` provenance, the serve config key and the
+CLI flag.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.api.pipeline import Pipeline, PipelineConfig
+from repro.api.registry import KERNEL_BACKEND, REGISTRY
 from repro.core.backend import (
-    BACKEND_ENV_VAR,
+    KernelBackend,
     available_backends,
     current_backend,
     get_backend,
@@ -24,12 +27,20 @@ from repro.errors import ConfigurationError
 from repro.graphs import generators as gen
 
 
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
+pytestmark = pytest.mark.usefixtures("restore_default_backend")
+
+
+class _ImportCounter:
+    """``sys.meta_path`` finder that counts imports of one module."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.attempts = 0
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname == self.name:
+            self.attempts += 1
+        return None  # defer to the real finders
 
 
 class TestRegistry:
@@ -63,6 +74,32 @@ class TestSelectionChain:
     def test_set_default_backend_roundtrip(self):
         set_default_backend("numpy")
         assert get_backend() == "numpy"
+
+    def test_registration_outside_the_tiers_is_selectable(self):
+        # A new backend is a registration: selectable by name, never
+        # picked by auto, and degrading straight to numpy when it
+        # cannot run here.
+        class Extra(KernelBackend):
+            name = "extra"
+            usable = True
+
+            def available(self):
+                return self.usable
+
+        extra = Extra()
+        REGISTRY.register(KERNEL_BACKEND, "extra", extra)
+        try:
+            assert "extra" in known_backends()
+            with use_backend("extra"):
+                assert current_backend() is extra
+            set_default_backend("extra")
+            assert get_backend() == "extra"
+            set_default_backend(None)
+            assert resolve_backend_name() != "extra"
+            extra.usable = False
+            assert resolve_backend_name("extra") == "numpy"
+        finally:
+            REGISTRY.unregister(KERNEL_BACKEND, "extra")
         set_default_backend(None)
         assert resolve_backend_name() in available_backends()
 
@@ -83,19 +120,16 @@ class TestSelectionChain:
         with use_backend("numpy"):
             assert resolve_backend_name("auto") in available_backends()
 
-    def test_env_var_still_works_but_warns(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        with pytest.warns(DeprecationWarning, match="set_default_backend"):
-            assert resolve_backend_name() == "numpy"
-
-    def test_override_silences_env_warning(self, monkeypatch):
-        import warnings
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        set_default_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend_name() == "numpy"
+    def test_numba_import_probed_at_most_once(self, monkeypatch):
+        # Kernels look the backend up thousands of times per run; a
+        # host's numba availability cannot change, so the import is
+        # tried once per process, not once per lookup.
+        counter = _ImportCounter("numba")
+        monkeypatch.setattr(sys, "meta_path", [counter, *sys.meta_path])
+        set_default_backend(None)
+        for _ in range(1000):
+            current_backend()
+        assert counter.attempts <= 1
 
 
 class TestPipelineSurface:

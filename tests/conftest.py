@@ -5,8 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import backend
 from repro.graphs import generators as gen
 from repro.graphs.builder import from_edges
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernel-backend",
+        metavar="NAME",
+        help="process-default kernel backend for the whole session "
+        "(set_default_backend); pool workers forked later inherit it",
+    )
+
+
+def pytest_configure(config):
+    name = config.getoption("--kernel-backend")
+    if name:
+        try:
+            backend.set_default_backend(name)
+        except ValueError as exc:
+            raise pytest.UsageError(str(exc)) from None
+
+
+@pytest.fixture
+def restore_default_backend(monkeypatch):
+    """Put back the session's default backend, not ``auto``, afterwards."""
+    monkeypatch.setattr(backend, "_default_override", backend._default_override)
 
 
 @pytest.fixture

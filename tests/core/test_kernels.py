@@ -12,7 +12,12 @@ diverse conflict structures (hubs, chains, isolated pairs).
 import numpy as np
 import pytest
 
-from repro.core.backend import available_backends, get_backend, set_default_backend
+from repro.core.backend import (
+    available_backends,
+    get_backend,
+    resolve_backend_name,
+    set_default_backend,
+)
 from repro.core.contraction import contract_level, make_finest_level
 from repro.core.kernels import (
     batch_pair_deltas,
@@ -178,34 +183,16 @@ class TestLevelCsrCache:
         assert np.array_equal(la.labels, lb.labels)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestBackendSeam:
-    # The REPRO_KERNEL_BACKEND tests exercise the *deprecated* env
-    # fallback on purpose (tests/api/test_backend_api.py asserts the
-    # warning itself); the modern chain lives in repro.core.backend.
-
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
 
-    def test_set_backend_roundtrip(self):
-        try:
-            set_default_backend("numpy")
-            assert get_backend() == "numpy"
-        finally:
-            set_default_backend(None)
-
-    def test_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    def test_set_backend_roundtrip(self, restore_default_backend):
+        set_default_backend("numpy")
         assert get_backend() == "numpy"
 
-    def test_numba_request_degrades_gracefully(self, monkeypatch):
-        # Without numba installed this must fall back to numpy, not crash.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        assert get_backend() in ("numba", "numpy")
-
-    def test_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
+    def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            get_backend()
+            resolve_backend_name("cuda")
         with pytest.raises(ValueError):
             set_default_backend("cuda")

@@ -1,9 +1,15 @@
 """Supervised worker pool: results, crash recovery, poison bisection."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import (
     ConfigurationError,
     PermanentError,
@@ -163,3 +169,50 @@ class TestWorkerPinning:
             (alive,) = pool.submit("p", None, ["ok"], worker=1)
             assert alive.result(timeout=60) == "ok"
             assert pool.stats()["restarts"] >= 1
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # An exited worker that its new parent has not reaped yet is a zombie.
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_workers_exit_when_their_owner_is_killed():
+    # SIGKILL gives the owner no chance to close the pool: each worker
+    # must notice through EOF on its pipe and exit, not live on orphaned.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import operator, time\n"
+        "from repro.serve.pool import SupervisedPool\n"
+        "pool = SupervisedPool(operator.add, workers=2)\n"
+        "print(*pool.worker_pids(), flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    pids: list[int] = []
+    with subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    ) as owner:
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [p for p in pids if _alive(p)] == []
+        finally:
+            owner.kill()
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)

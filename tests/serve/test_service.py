@@ -19,6 +19,7 @@ from repro.serve.service import (
     MappingService,
     ServeSettings,
     ServerThread,
+    build_service,
     parse_config,
     parse_request,
     register_admission_hook,
@@ -232,6 +233,29 @@ class TestAdmissionHook:
         finally:
             s1.close()
             s2.close()
+            register_admission_hook(None)
+
+    def test_limit_resolves_in_pool_workers(self):
+        # Pool workers fork when the scheduler starts and look the
+        # suffixed hook up by name, so it must exist before they do.
+        svc = build_service(ServeSettings(workers=1, max_graph_n=500))
+        try:
+            body = _map_body(seed=5)
+            status, reply, _ = asyncio.run(svc.handle("map", body))
+            assert status == 200, reply
+            request = parse_request(body, admission_hook=svc.admission_hook)
+            direct = Pipeline(request.topology, request.config).run(
+                request.graph.build(), seed=request.seed
+            )
+            assert reply["mu"] == [int(x) for x in direct.mu_final]
+            assert reply["identity_hash"] == direct.identity_hash
+            big = _map_body(seed=5)
+            big["graph"]["n_max"] = 501
+            status, reply, _ = asyncio.run(svc.handle("map", big))
+            assert status == 400
+            assert "admits at most" in reply["message"]
+        finally:
+            svc.scheduler.close()
             register_admission_hook(None)
 
     def test_oversized_request_rejected_before_compute(self):
