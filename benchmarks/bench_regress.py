@@ -15,6 +15,12 @@ best-of-``repeats`` wall time; the runner exits non-zero if a kernel
 regresses below its floor (swap_pass >= 5x, partial-cube labeling >= 3x),
 making it usable as a CI smoke gate.
 
+The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
+incremental-gain paths against the fresh-sum oracles kept beside them
+(``fm_refine_reference``, ``grow_bisection_reference``) on the same BA
+graph; their floors (>= 3x, >= 2x) keep the move loops off per-vertex
+numpy.
+
 The ``wide_*`` entries time the same kernels on the multi-word label
 representation (fattree2x7: 255 PEs, 254 classes, 4-word labels) --
 their floors prove the wide path stays vectorized, while the unchanged
@@ -52,6 +58,8 @@ from repro.partialcube.djokovic import (
     djokovic_classes,
     partial_cube_labeling,
 )
+from repro.partitioning.fm import fm_refine, fm_refine_reference
+from repro.partitioning.initial import grow_bisection, grow_bisection_reference
 
 OUTPUT = Path(__file__).parent / "BENCH_kernels.json"
 
@@ -61,6 +69,8 @@ FLOORS = {
     "partial_cube_labeling": 3.0,
     "wide_swap_pass": 3.0,
     "wide_partial_cube_labeling": 3.0,
+    "fm_refine": 3.0,
+    "grow_bisection": 2.0,
     # compiled tiers (present only where numba imports): the parallel
     # backend must beat serial numba on the big workloads
     "numba_parallel_swap_pass": 1.1,
@@ -268,6 +278,32 @@ def run(repeats: int = 5) -> dict:
         "workload": "fattree2x7 (255 switches, dim 254), recognition + labeling",
         "before_s": _best_of(before_wide_pc, repeats),
         "after_s": _best_of(after_wide_pc, repeats),
+    }
+
+    # --- partitioner: incremental FM and growing vs fresh sums ----------
+    total = float(ga.vertex_weights.sum())
+    start = np.random.default_rng(5).integers(0, 2, ga.n)
+    caps = (0.53 * total, 0.53 * total)
+    if not np.array_equal(
+        fm_refine(ga, start, caps), fm_refine_reference(ga, start, caps)
+    ):
+        raise AssertionError("incremental FM diverged from the reference")
+    results["fm_refine"] = {
+        "workload": "BA n=2000 m=4, random 0/1 start, caps 0.53 W, 8 passes",
+        "before_s": _best_of(lambda: fm_refine_reference(ga, start, caps), repeats),
+        "after_s": _best_of(lambda: fm_refine(ga, start, caps), repeats),
+    }
+    if not np.array_equal(
+        grow_bisection(ga, total / 2, seed=4),
+        grow_bisection_reference(ga, total / 2, seed=4),
+    ):
+        raise AssertionError("incremental growing diverged from the reference")
+    results["grow_bisection"] = {
+        "workload": "BA n=2000 m=4, target W/2, 4 attempts",
+        "before_s": _best_of(
+            lambda: grow_bisection_reference(ga, total / 2, seed=4), repeats
+        ),
+        "after_s": _best_of(lambda: grow_bisection(ga, total / 2, seed=4), repeats),
     }
 
     # --- edge_arrays caching --------------------------------------------

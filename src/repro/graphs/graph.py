@@ -191,22 +191,24 @@ class Graph:
         recursive-bisection partitioner.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        k = vertices.shape[0]
         inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vertices] = np.arange(vertices.shape[0], dtype=np.int64)
-        sub_indptr = [0]
-        sub_indices: list[np.ndarray] = []
-        sub_weights: list[np.ndarray] = []
-        for v in vertices:
-            nbrs = self.neighbors(int(v))
-            wts = self.incident_weights(int(v))
-            keep = inv[nbrs] >= 0
-            sub_indices.append(inv[nbrs[keep]])
-            sub_weights.append(wts[keep])
-            sub_indptr.append(sub_indptr[-1] + int(keep.sum()))
-        indices = np.concatenate(sub_indices) if sub_indices else np.empty(0, np.int64)
-        weights = np.concatenate(sub_weights) if sub_weights else np.empty(0, np.float64)
+        inv[vertices] = np.arange(k, dtype=np.int64)
+        # Gather the rows of ``vertices`` in that order: row i's CSR span
+        # starts at indptr[vertices[i]] and lands at offset[i] in ``pos``.
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        offset = np.cumsum(counts) - counts
+        pos = np.repeat(starts - offset, counts) + np.arange(int(counts.sum()))
+        nbrs = inv[self.indices[pos]]
+        keep = nbrs >= 0
+        row = np.repeat(np.arange(k, dtype=np.int64), counts)
+        sub_indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[keep], minlength=k), out=sub_indptr[1:])
+        indices = nbrs[keep]
+        weights = self.weights[pos[keep]]
         sub = Graph(
-            np.asarray(sub_indptr, dtype=np.int64),
+            sub_indptr,
             indices,
             weights,
             self.vertex_weights[vertices],

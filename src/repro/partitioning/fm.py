@@ -5,6 +5,17 @@ boundary vertex with the highest cut gain to the other side, subject to
 the balance constraint; after a full pass, roll back to the best prefix.
 Multiple passes until a pass yields no improvement.
 
+Gains are kept incrementally, as Fiduccia & Mattheyses (1982) define
+them.  A pass computes every vertex's gain in one CSR pass; after ``v``
+moves off side ``s``, each unlocked neighbour ``u`` gains ``+2 w(u, v)``
+if it sits on ``s`` (the edge is now cut) and ``-2 w(u, v)`` otherwise,
+and is pushed again.  The heap sees exactly the tuples the fresh-sum
+implementation pushes, so moves, tie-breaks and results are the same --
+provided every partial sum is an exact float.  :func:`exact_gain_weights`
+is that predicate (integral edge weights, total below ``2**53``); a graph
+that fails it runs :func:`fm_refine_reference`, the fresh-sum
+implementation kept as the oracle the fast path is tested against.
+
 This is the refinement engine both of the multilevel bisection
 (:mod:`~repro.partitioning.multilevel`) and -- run on the communication
 graph -- of the DRB mapper.  Kernighan-Lin-style swap logic is what the
@@ -19,6 +30,21 @@ import heapq
 import numpy as np
 
 from repro.graphs.graph import Graph
+
+#: above this total edge weight a float sum of integers may round
+_EXACT_LIMIT = 2.0**53
+
+
+def exact_gain_weights(g: Graph) -> bool:
+    """Whether incremental gain sums on ``g`` equal fresh ones exactly.
+
+    True when every edge weight is an integer and the weights sum below
+    ``2**53``: every gain, partial sum and update is then an exactly
+    representable integer, so the order of additions cannot matter.
+    FM and greedy growing take their incremental paths only then.
+    """
+    w = g.weights
+    return bool(np.all(w == np.floor(w))) and float(np.abs(w).sum()) < _EXACT_LIMIT
 
 
 def fm_refine(
@@ -41,6 +67,112 @@ def fm_refine(
     max_passes:
         upper bound on full FM passes.
     """
+    if not exact_gain_weights(g):
+        return fm_refine_reference(g, assignment, max_weight, max_passes)
+    assign = np.asarray(assignment, dtype=np.int64).copy()
+    if g.n == 0:
+        return assign
+    totals = np.zeros(2, dtype=np.float64)
+    np.add.at(totals, assign, g.vertex_weights)
+
+    # The CSR (weights doubled: the update step) and the per-vertex state
+    # as lists, taken once per call: the move loop reads one scalar at a
+    # time, which numpy makes slow.
+    csr = (g.indptr.tolist(), g.indices.tolist(), (2.0 * g.weights).tolist())
+    us = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    side = assign.tolist()
+    side_weight = totals.tolist()
+    vw = g.vertex_weights.tolist()
+    caps = (float(max_weight[0]), float(max_weight[1]))
+    for _ in range(max_passes):
+        if not _fm_pass(g, us, csr, side, side_weight, vw, caps):
+            break
+    return np.asarray(side, dtype=np.int64)
+
+
+def _fm_pass(
+    g: Graph,
+    us: np.ndarray,
+    csr: tuple[list, list, list],
+    side: list[int],
+    side_weight: list[float],
+    vw: list[float],
+    caps: tuple[float, float],
+) -> bool:
+    """One incremental pass; updates ``side`` and ``side_weight`` in place."""
+    indptr, adj, wt2 = csr
+    a = np.asarray(side, dtype=np.int64)
+    cross = a[us] != a[g.indices]
+    gain = np.bincount(
+        us, weights=np.where(cross, g.weights, -g.weights), minlength=g.n
+    ).tolist()
+    # Seed with boundary vertices only: interior moves never help first.
+    heap = [(-gain[v], v, v, gain[v]) for v in np.unique(us[cross]).tolist()]
+    if not heap:
+        return False
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    locked = [False] * g.n
+    moves: list[int] = []
+    cum_gain = 0.0
+    best_prefix, best_gain = 0, 0.0
+    while heap:
+        neg_g, _, v, g_rec = heappop(heap)
+        if locked[v] or gain[v] != g_rec:
+            continue
+        s = side[v]
+        target = 1 - s
+        if side_weight[target] + vw[v] > caps[target]:
+            continue
+        # Execute the move.
+        locked[v] = True
+        side_weight[s] -= vw[v]
+        side_weight[target] += vw[v]
+        side[v] = target
+        cum_gain += -neg_g
+        moves.append(v)
+        if cum_gain > best_gain + 1e-12:
+            best_gain = cum_gain
+            best_prefix = len(moves)
+        lo, hi = indptr[v], indptr[v + 1]
+        nbrs = adj[lo:hi]
+        for u, w2 in zip(nbrs, wt2[lo:hi]):
+            if not locked[u]:
+                if side[u] == s:
+                    gain[u] += w2
+                else:
+                    gain[u] -= w2
+        # Push only after every update: a parallel edge must not push a
+        # half-updated gain.
+        for u in nbrs:
+            if not locked[u]:
+                gu = gain[u]
+                heappush(heap, (-gu, u, u, gu))
+
+    # Roll back past the best prefix.
+    for v in moves[best_prefix:]:
+        s = side[v]
+        side_weight[s] -= vw[v]
+        side_weight[1 - s] += vw[v]
+        side[v] = 1 - s
+    return best_gain > 1e-12
+
+
+# ----------------------------------------------------------------------
+# Reference oracle: fresh gain sums (any weights)
+# ----------------------------------------------------------------------
+def fm_refine_reference(
+    g: Graph,
+    assignment: np.ndarray,
+    max_weight: tuple[float, float],
+    max_passes: int = 8,
+) -> np.ndarray:
+    """:func:`fm_refine` recomputing every pushed gain from numpy slices.
+
+    Exact for any weights; :func:`fm_refine` runs it on graphs that fail
+    :func:`exact_gain_weights` and is tested against it on all others.
+    """
     assign = np.asarray(assignment, dtype=np.int64).copy()
     if g.n == 0:
         return assign
@@ -49,7 +181,7 @@ def fm_refine(
     np.add.at(side_weight, assign, vw)
 
     for _ in range(max_passes):
-        improved = _fm_pass(g, assign, side_weight, max_weight)
+        improved = _fm_pass_reference(g, assign, side_weight, max_weight)
         if not improved:
             break
     return assign
@@ -63,7 +195,7 @@ def _gain(g: Graph, assign: np.ndarray, v: int) -> float:
     return float(wts[~same].sum() - wts[same].sum())
 
 
-def _fm_pass(
+def _fm_pass_reference(
     g: Graph,
     assign: np.ndarray,
     side_weight: np.ndarray,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.partitioning.metrics import boundary_vertices
 from repro.partitioning.partition import Partition
 from repro.partitioning.rebalance import balance_limit
 
@@ -37,7 +37,7 @@ def kway_refine(
     indptr, indices, weights = g.indptr, g.indices, g.weights
     for _ in range(max_passes):
         moved = 0
-        boundary = _boundary_vertices(g, assign)
+        boundary = boundary_vertices(g, assign)
         for v in boundary:
             v = int(v)
             b = int(assign[v])
@@ -69,10 +69,3 @@ def kway_refine(
             break
     return Partition(g, assign, k)
 
-
-def _boundary_vertices(g: Graph, assign: np.ndarray) -> np.ndarray:
-    us = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    cross = assign[us] != assign[g.indices]
-    out = np.zeros(g.n, dtype=bool)
-    out[us[cross]] = True
-    return np.nonzero(out)[0]

@@ -29,27 +29,25 @@ def heavy_edge_matching(
     """
     rng = make_rng(seed)
     order = rng.permutation(g.n)
-    match = np.full(g.n, UNMATCHED, dtype=np.int64)
-    vw = g.vertex_weights
-    for v in order:
-        v = int(v)
+    match = [UNMATCHED] * g.n
+    indptr, adj, wt = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    vw = g.vertex_weights.tolist()
+    for v in order.tolist():
         if match[v] != UNMATCHED:
             continue
-        nbrs = g.neighbors(v)
-        wts = g.incident_weights(v)
         best_u, best_w = v, -1.0
-        for u, w in zip(nbrs, wts):
-            u = int(u)
+        for i in range(indptr[v], indptr[v + 1]):
+            u = adj[i]
             if match[u] != UNMATCHED or u == v:
                 continue
             if max_vertex_weight is not None and vw[v] + vw[u] > max_vertex_weight:
                 continue
-            if w > best_w:
-                best_u, best_w = u, float(w)
+            if wt[i] > best_w:
+                best_u, best_w = u, wt[i]
         match[v] = best_u
         if best_u != v:
             match[best_u] = v
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
@@ -59,15 +57,14 @@ def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     keep their own.  Ids are assigned in increasing order of the smaller
     endpoint, which keeps the map deterministic given the matching.
     """
-    n = match.shape[0]
-    coarse_of = np.full(n, -1, dtype=np.int64)
+    partner = match.tolist()
+    coarse_of = [-1] * len(partner)
     nxt = 0
-    for v in range(n):
+    for v, u in enumerate(partner):
         if coarse_of[v] >= 0:
             continue
-        u = int(match[v])
         coarse_of[v] = nxt
         if u != v and u != UNMATCHED:
             coarse_of[u] = nxt
         nxt += 1
-    return coarse_of, nxt
+    return np.asarray(coarse_of, dtype=np.int64), nxt

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.api.pipeline import Pipeline, PipelineConfig, PipelineResult
+from repro.api.registry import REGISTRY, VERIFY
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -306,6 +307,37 @@ def _pool_run(pipe: Pipeline, item) -> tuple[PipelineResult, list]:
         result.record_spans(tracer, span.context)
     spans = [s for _tid, trace in tracer.buffer.traces() for s in trace]
     return result, spans
+
+
+class _PoolPayload:
+    """A pipeline as a pool payload: admission hooks first, then the rebuild.
+
+    A worker forked before its service registered ``serve-admissible-N``,
+    or started with ``spawn``, lacks that verify hook, and rebuilding the
+    pipeline fails on the unknown name.  Unpickling this payload registers
+    each admission hook the config names that the worker lacks, then
+    rebuilds the pipeline.
+    """
+
+    __slots__ = ("pipe",)
+
+    def __init__(self, pipe: Pipeline) -> None:
+        self.pipe = pipe
+
+    def __reduce__(self) -> tuple:
+        rebuild, args = self.pipe.__reduce__()
+        return _rebuild_admitting, (self.pipe.config.pre_verify, rebuild, args)
+
+
+def _rebuild_admitting(verify_names, rebuild, args) -> Pipeline:
+    # Imported here: the service module imports this one.
+    from repro.serve.service import ADMISSION_HOOK, register_admission_hook
+
+    for name in verify_names:
+        limit = name.removeprefix(f"{ADMISSION_HOOK}-")
+        if limit != name and limit.isdigit() and (VERIFY, name) not in REGISTRY:
+            register_admission_hook(int(limit))
+    return rebuild(*args)
 
 
 # ----------------------------------------------------------------------
@@ -817,7 +849,9 @@ class BatchScheduler:
             # the group key), so the whole batch pins to that topology's
             # rendezvous-routed worker -- its session cache stays hot.
             pin = int(self._pool_router.route(reqs[0].topology))
-            futures = self._pool.submit(gkey, pipe, items, worker=pin)
+            futures = self._pool.submit(
+                gkey, _PoolPayload(pipe), items, worker=pin
+            )
             outcomes = []
             for future in futures:
                 try:

@@ -235,27 +235,61 @@ class TestAdmissionHook:
             s2.close()
             register_admission_hook(None)
 
+    @staticmethod
+    def _assert_limit_served(svc, limit):
+        """A small /map matches a direct run; an oversized one gets 400."""
+        body = _map_body(seed=5)
+        status, reply, _ = asyncio.run(svc.handle("map", body))
+        assert status == 200, reply
+        request = parse_request(body, admission_hook=svc.admission_hook)
+        direct = Pipeline(request.topology, request.config).run(
+            request.graph.build(), seed=request.seed
+        )
+        assert reply["mu"] == [int(x) for x in direct.mu_final]
+        assert reply["identity_hash"] == direct.identity_hash
+        big = _map_body(seed=5)
+        big["graph"]["n_max"] = limit + 1
+        status, reply, _ = asyncio.run(svc.handle("map", big))
+        assert status == 400
+        assert "admits at most" in reply["message"]
+
     def test_limit_resolves_in_pool_workers(self):
         # Pool workers fork when the scheduler starts and look the
         # suffixed hook up by name, so it must exist before they do.
         svc = build_service(ServeSettings(workers=1, max_graph_n=500))
         try:
-            body = _map_body(seed=5)
-            status, reply, _ = asyncio.run(svc.handle("map", body))
-            assert status == 200, reply
-            request = parse_request(body, admission_hook=svc.admission_hook)
-            direct = Pipeline(request.topology, request.config).run(
-                request.graph.build(), seed=request.seed
-            )
-            assert reply["mu"] == [int(x) for x in direct.mu_final]
-            assert reply["identity_hash"] == direct.identity_hash
-            big = _map_body(seed=5)
-            big["graph"]["n_max"] = 501
-            status, reply, _ = asyncio.run(svc.handle("map", big))
-            assert status == 400
-            assert "admits at most" in reply["message"]
+            self._assert_limit_served(svc, 500)
         finally:
             svc.scheduler.close()
+            register_admission_hook(None)
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_limit_resolves_when_pool_starts_first(self, start, monkeypatch):
+        """Library order: the pool starts before the service registers.
+
+        Forked workers miss the hook registered after them, and spawned
+        workers import a fresh registry; each registers the name on
+        demand before it rebuilds the pipeline.
+        """
+        if start == "spawn":
+            import multiprocessing as mp
+
+            import repro.serve.pool as pool_mod
+
+            monkeypatch.setattr(
+                pool_mod, "preferred_mp_context", lambda: mp.get_context("spawn")
+            )
+        limit = 499
+        name = f"{ADMISSION_HOOK}-{limit}"
+        REGISTRY.unregister(VERIFY, name)  # no earlier test may leak it
+        scheduler = BatchScheduler(window_s=0.01, workers=1)
+        try:
+            svc = MappingService(scheduler, max_graph_n=limit)
+            assert svc.admission_hook == name
+            self._assert_limit_served(svc, limit)
+        finally:
+            scheduler.close()
+            REGISTRY.unregister(VERIFY, name)
             register_admission_hook(None)
 
     def test_oversized_request_rejected_before_compute(self):
