@@ -21,11 +21,12 @@ incremental-gain paths against the fresh-sum oracles kept beside them
 graph; their floors (>= 3x, >= 2x) keep the move loops off per-vertex
 numpy.
 
-The ``wide_*`` entries time the same kernels on the multi-word label
-representation (fattree2x7: 255 PEs, 254 classes, 4-word labels) --
-their floors prove the wide path stays vectorized, while the unchanged
-narrow floors prove the ``W == 1`` fast path did not slow down under the
-representation split.
+Labels have one representation, ``(n, W)`` ``uint64``.  The
+``swap_pass`` and ``partial_cube_labeling`` entries run one-word labels
+(grid16x16: 30 classes); the ``wide_*`` entries time the same kernels
+on multi-word labels (fattree2x7: 255 PEs, 254 classes, 4-word PE
+labels and 5-word application labels) -- both sets of floors prove the
+kernels stay vectorized at every word count.
 
 Where numba imports (the CI ``numba-kernels`` job; never the base
 image), the ``numba_*`` entries additionally time the compiled backend
@@ -246,7 +247,7 @@ def run(repeats: int = 5) -> dict:
     mu_ft = (np.arange(ga.n) % ft.n).astype(np.int64)
     np.random.default_rng(2).shuffle(mu_ft)
     wide_app = build_application_labeling(ga, ft_pc, mu_ft, seed=3)
-    assert wide_app.labels.ndim == 2  # really multi-word
+    assert wide_app.labels.shape[1] == 5  # really multi-word
 
     def before_wide_swaps():
         lvl = make_finest_level(edges, wide_app.labels.copy())

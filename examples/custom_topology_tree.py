@@ -22,6 +22,7 @@ from repro.graphs import generators as gen
 from repro.graphs.builder import from_edges
 from repro.partialcube import is_partial_cube, partial_cube_labeling
 from repro.partitioning import partition_kway
+from repro.utils.bitops import label_to_int
 
 
 def main() -> None:
@@ -51,7 +52,7 @@ def main() -> None:
     )
     pc_cube = partial_cube_labeling(cube)
     print(f"\nhand-built cube: dim {pc_cube.dim}, labels "
-          f"{[f'{int(x):03b}' for x in pc_cube.labels]}")
+          f"{[f'{label_to_int(pc_cube.labels, v):03b}' for v in range(cube.n)]}")
     part2 = partition_kway(ga, cube.n, seed=6)
     res2 = timer_enhance(ga, cube, pc_cube, part2.assignment, seed=7,
                          config=TimerConfig(n_hierarchies=25))

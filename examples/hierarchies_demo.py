@@ -21,6 +21,7 @@ from repro.partialcube.hierarchy import (
     identity_permutation,
     opposite_permutation,
 )
+from repro.utils.bitops import label_to_int
 
 
 def render(title: str, labels: np.ndarray, dim: int, perm: np.ndarray) -> None:
@@ -30,7 +31,7 @@ def render(title: str, labels: np.ndarray, dim: int, perm: np.ndarray) -> None:
         parts = h.partition(level)
         rendered = []
         for part in parts:
-            bits = [f"{int(labels[v]):0{dim}b}" for v in sorted(part.tolist())]
+            bits = [f"{label_to_int(labels, v):0{dim}b}" for v in sorted(part.tolist())]
             rendered.append("{" + ",".join(bits) + "}")
         print(f"  level {level} ({len(parts):>2} parts): " + " ".join(rendered))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro import Pipeline, PipelineConfig, TimerConfig, Topology
 from repro.graphs import generators as gen
+from repro.utils.bitops import label_to_int
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
     print(f"processor graph:   {topology.n} PEs, partial-cube dimension {pc.dim}")
     print("PE labels (Hamming distance == hop distance):")
     for pe in range(4):
-        print(f"  PE {pe}: {int(pc.labels[pe]):0{pc.dim}b}")
+        print(f"  PE {pe}: {label_to_int(pc.labels, pe):0{pc.dim}b}")
 
     # 3. The pipeline: partition -> IDENTITY mapping (c2) -> TIMER.
     pipe = Pipeline(

@@ -57,8 +57,9 @@ LABELING_CACHE_ENV = "REPRO_LABELING_CACHE"
 #: so entries written by older code simply never hit (no migration
 #: reads).  Schema 2 drops the verbatim ``cut_edges`` payload (derived
 #: from the labels on load) and adds a content checksum verified on
-#: every read.
-_LABELING_CACHE_SCHEMA = 2
+#: every read.  Schema 3 stores every labeling as ``(n, W)`` ``uint64``
+#: (schema 2 stored labelings up to 63 classes as 1-D ``int64``).
+_LABELING_CACHE_SCHEMA = 3
 
 class SessionLRU:
     """Bounded LRU of named :class:`Topology` sessions, with counters.

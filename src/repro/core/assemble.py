@@ -37,8 +37,8 @@ from repro.core.contraction import Level
 from repro.utils.bitops import (
     get_label_bit,
     label_lsb,
-    label_mask,
     label_sort_keys,
+    low_bits,
     set_label_bit,
 )
 from repro.utils.segments import group_ranks
@@ -49,16 +49,13 @@ def assemble(levels: list[Level], dim: int) -> np.ndarray:
 
     ``levels[0]`` is the finest level (its labels are the multiset ``L``
     the result must be a bijection onto); ``levels[j]`` is level ``j+1``
-    whose labels' LSBs provide the preferred digit ``j``.  Works in both
-    label representations; the output matches the input's.
+    whose labels' LSBs provide the preferred digit ``j``.  The output has
+    the input's word count.
     """
     L = levels[0].labels
     n = L.shape[0]
-    if L.ndim == 1:
-        new = (L & 1).astype(np.int64)  # digit 0: own post-swap LSB
-    else:
-        new = np.zeros_like(L)
-        set_label_bit(new, 0, label_lsb(L))
+    new = np.zeros_like(L)
+    set_label_bit(new, 0, label_lsb(L))  # digit 0: own post-swap LSB
     anc = np.arange(n, dtype=np.int64)
     for j in range(1, dim):
         if j < len(levels):
@@ -66,37 +63,32 @@ def assemble(levels: list[Level], dim: int) -> np.ndarray:
             if parent is None:
                 raise RuntimeError(f"level {j} has no parent pointers")
             anc = parent[anc]
-            pref = label_lsb(levels[j].labels[anc])
+            pref = label_lsb(levels[j].labels)[anc]
         else:
             # No coarser level prescribes this digit (the MSB, and any
             # digit beyond the built hierarchy): prefer the vertex's own
             # original digit, as in Algorithm 2 lines 17-18.
             pref = get_label_bit(L, j)
-        new = _assign_digit(new, pref, L, j)
+        _assign_digit(new, pref, L, j)
     _check_bijection(new, L)
     return new
 
 
-def _assign_digit(
-    new: np.ndarray, pref: np.ndarray, L: np.ndarray, j: int
-) -> np.ndarray:
-    """Grant preferred digit ``j`` subject to per-suffix label capacities."""
-    mask = label_mask(j, L) if L.ndim == 2 else (np.int64(1) << j) - 1
-    l_suffix = L & mask
-    if L.ndim == 1:
-        uniq, inv_L = np.unique(l_suffix, return_inverse=True)
-        gid = np.searchsorted(uniq, new & mask)
-    else:
-        suffix_keys = label_sort_keys(l_suffix)
-        uniq, inv_L = np.unique(suffix_keys, return_inverse=True)
-        gid = np.searchsorted(uniq, label_sort_keys(new & mask))
+def _assign_digit(new: np.ndarray, pref: np.ndarray, L: np.ndarray, j: int) -> None:
+    """Grant preferred digit ``j`` subject to per-suffix label capacities.
+
+    Sets bit ``j`` of ``new`` in place; bits ``0 .. j-1`` are the suffix
+    the capacities are counted over.
+    """
+    uniq, inv_L = np.unique(label_sort_keys(low_bits(L, j)), return_inverse=True)
+    gid = np.searchsorted(uniq, label_sort_keys(low_bits(new, j)))
     capacity1 = np.zeros(uniq.shape[0], dtype=np.int64)
     np.add.at(capacity1, inv_L, get_label_bit(L, j))
     group_size = np.bincount(inv_L, minlength=uniq.shape[0])
     capacity0 = group_size - capacity1
 
     # Invariant: every vertex suffix exists among the labels.
-    digit = pref.copy()
+    digit = pref.astype(np.uint64)
 
     ones = np.nonzero(pref == 1)[0]
     if ones.size:
@@ -108,11 +100,7 @@ def _assign_digit(
         ranks = group_ranks(gid[zeros])
         overflow = zeros[ranks >= capacity0[gid[zeros]]]
         digit[overflow] = 1
-    if new.ndim == 1:
-        return new | (digit << j)
-    out = new.copy()
-    set_label_bit(out, j, digit)
-    return out
+    set_label_bit(new, j, digit)
 
 
 def _check_bijection(new: np.ndarray, L: np.ndarray) -> None:

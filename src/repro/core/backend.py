@@ -113,8 +113,8 @@ class KernelBackend:
     ) -> np.ndarray:
         """Per-vertex sum of ``w * (1 - 2*(lsb_u ^ lsb_t))`` over the CSR.
 
-        ``lsb`` is the 0/1 int64 LSB array (not the labels), so one
-        kernel serves both label representations.
+        ``lsb`` is the 0/1 int64 LSB array (not the labels), so the
+        kernel never sees the word layout.
         """
         # The source LSB is constant within a CSR segment, so instead of
         # gathering per-entry source labels:
@@ -200,18 +200,15 @@ class KernelBackend:
 
     # -- label ordering ------------------------------------------------
     def argsort_labels(self, labels: np.ndarray) -> np.ndarray:
-        """Stable argsort of a label array in numeric bitvector order.
+        """Stable argsort of an ``(n, W)`` label array in bitvector order.
 
-        Wide labels take the radix path (``np.lexsort`` over word
+        Labels take the radix path (``np.lexsort`` over word
         columns, least significant first) whenever at most
         ``RADIX_SORT_MAX_WORDS`` columns actually *vary* -- constant
         columns cannot affect a stable order, so dropping them extends
         the measured ``W <= 2`` lexsort win to any total width (e.g.
         contracted hierarchy levels, whose high words are zero).
         """
-        labels = np.asarray(labels)
-        if labels.ndim == 1:
-            return np.argsort(labels, kind="stable")
         n, width = labels.shape
         if n >= bitops.RADIX_SORT_THRESHOLD:
             if width <= bitops.RADIX_SORT_MAX_WORDS:
@@ -225,28 +222,31 @@ class KernelBackend:
 
     # -- popcount kernels ----------------------------------------------
     def popcount_labels(self, x: np.ndarray) -> np.ndarray:
-        """Per-label popcount (last axis is the word axis for wide input)."""
-        x = np.asarray(x)
-        if x.ndim >= 2 and x.dtype == np.uint64:
-            return bitops.bitwise_count(x).sum(axis=-1, dtype=np.int64)
-        return bitops.bitwise_count(x)
+        """Per-label popcount (the last axis is the word axis).
+
+        Adds the per-word counts one word column at a time: numpy's
+        reduction over a short strided last axis costs several times
+        more than these ``W`` vector additions.
+        """
+        counts = bitops.bitwise_count(x)
+        out = counts[..., 0].astype(np.int64)
+        for w in range(1, counts.shape[-1]):
+            out += counts[..., w]
+        return out
 
     def pairwise_hamming(self, labels: np.ndarray, block: int = 256) -> np.ndarray:
-        """``(n, n)`` Hamming distance matrix of a label array.
+        """``(n, n)`` Hamming distance matrix of an ``(n, W)`` label array.
 
-        Row-blocked so the wide case never materializes the full
-        ``(n, n, W)`` XOR tensor at once.
+        Row-blocked so it never materializes the full ``(n, n, W)`` XOR
+        tensor at once.
         """
-        labels = np.asarray(labels)
         n = labels.shape[0]
-        if labels.ndim == 1:
-            return bitops.bitwise_count(labels[:, None] ^ labels[None, :])
         out = np.empty((n, n), dtype=np.int64)
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            out[lo:hi] = bitops.bitwise_count(
+            out[lo:hi] = self.popcount_labels(
                 labels[lo:hi, None, :] ^ labels[None, :, :]
-            ).sum(axis=-1, dtype=np.int64)
+            )
         return out
 
     # -- partial-cube recognition --------------------------------------
@@ -254,17 +254,17 @@ class KernelBackend:
         """Djokovic class computation for a gated (connected, bipartite) graph.
 
         The reference strategy is a hybrid: the one-class-at-a-time
-        loop capped at 64 classes (unbeatable while classes pack into
-        one word), falling back to the fully batched ``(m, n)``
-        side-matrix computation when the cap is hit (trees, where every
-        edge is a class).
+        loop capped at ``WORD_BITS`` (64) classes (unbeatable while
+        classes pack into one word), falling back to the fully batched
+        ``(m, n)`` side-matrix computation when the cap is hit (trees,
+        where every edge is a class).
         Backends may reorder the internals but must return identical
         ``(edge_class, classes)``.
         """
         from repro.partialcube import djokovic as dj
 
         capped = dj._djokovic_classes_loop(
-            g, distances, max_classes=bitops.MAX_LABEL_BITS + 1
+            g, distances, max_classes=bitops.WORD_BITS
         )
         if capped is not None:
             return capped
@@ -334,27 +334,15 @@ class NumbaBackend(KernelBackend):
         return dist
 
     def popcount_labels(self, x):  # pragma: no cover
-        x = np.asarray(x)
-        if x.ndim >= 2 and x.dtype == np.uint64:
-            rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
-            return self._jit()["popcount_rows"](rows).reshape(x.shape[:-1])
-        return bitops.bitwise_count(x)
+        x = np.ascontiguousarray(x, dtype=np.uint64)
+        rows = x.reshape(-1, x.shape[-1])
+        return self._jit()["popcount_rows"](rows).reshape(x.shape[:-1])
 
     def pairwise_hamming(self, labels, block: int = 256):  # pragma: no cover
-        labels = np.asarray(labels)
         n = labels.shape[0]
-        if labels.ndim == 1:
-            # Labels are non-negative, so the uint64 view is value-exact.
-            wide = (
-                np.ascontiguousarray(labels, dtype=np.int64)
-                .view(np.uint64)
-                .reshape(n, 1)
-            )
-        else:
-            wide = np.ascontiguousarray(labels, dtype=np.uint64)
         out = np.zeros((n, n), dtype=np.int64)
         if n:
-            self._jit()["pairwise_hamming"](wide, out)
+            self._jit()["pairwise_hamming"](np.ascontiguousarray(labels), out)
         return out
 
 

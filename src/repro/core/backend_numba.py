@@ -34,8 +34,8 @@ Kernels
     (prange over shards) writing disjoint column blocks of the distance
     matrix.
 ``pairwise_hamming`` / ``popcount_rows``
-    SWAR (SIMD-within-a-register) popcount paths for wide labels; the
-    pairwise kernel never materializes the ``(n, n, W)`` XOR tensor the
+    SWAR (SIMD-within-a-register) popcount paths over the label words;
+    the pairwise kernel never materializes the ``(n, n, W)`` XOR tensor the
     numpy path has to block over.
 """
 

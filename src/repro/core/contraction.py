@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.bitops import copy_labels, shift_right_labels, unique_labels
+from repro.utils.bitops import as_label_array, shift_right_labels, unique_labels
 from repro.utils.segments import group_reduce_sum
 
 
@@ -46,13 +46,13 @@ class Level:
 
 
 def make_finest_level(ga_edges: tuple, labels: np.ndarray) -> Level:
-    """Wrap ``G_a``'s edge arrays and the permuted labels as level 1.
+    """Wrap ``G_a``'s edge arrays and a copy of the labels as level 1.
 
-    Accepts both label representations; the copy keeps narrow labels
-    ``int64`` and wide labels ``(n, W)`` ``uint64``.
+    Accepts caller-supplied labels (see
+    :func:`~repro.utils.bitops.as_label_array`).
     """
     us, vs, ws = ga_edges
-    return Level(us=us, vs=vs, ws=ws, labels=copy_labels(labels))
+    return Level(us=us, vs=vs, ws=ws, labels=as_label_array(labels).copy())
 
 
 def contract_level(level: Level) -> Level:

@@ -61,6 +61,8 @@ from repro.core.contraction import Level
 from repro.utils.bitops import argsort_labels, label_lsb
 from repro.utils.segments import build_csr
 
+_ONE = np.uint64(1)
+
 __all__ = [
     "level_csr",
     "vertex_lsb_sums",
@@ -92,24 +94,17 @@ def sibling_pairs(labels: np.ndarray) -> np.ndarray:
     """``(k, 2)`` array of vertex pairs whose labels differ only in bit 0.
 
     Pairs are returned in ascending prefix order; labels are assumed
-    unique (true on every hierarchy level).  Wide labels sort through
-    their big-endian byte keys (:func:`~repro.utils.bitops.label_sort_keys`),
-    which order exactly like the packed integers do on the narrow path.
+    unique (true on every hierarchy level).  Labels sort in numeric
+    bitvector order (:func:`~repro.utils.bitops.argsort_labels`).
     """
-    if labels.ndim == 1:
-        order = argsort_labels(labels)
-        lab_sorted = labels[order]
-        adjacent = (lab_sorted[1:] >> 1) == (lab_sorted[:-1] >> 1)
-    else:
-        order = argsort_labels(labels)
-        lab_sorted = labels[order]
-        # Siblings differ only in bit 0 of word 0: compare word 0 >> 1
-        # and every higher word verbatim.
-        adjacent = (lab_sorted[1:, 0] >> np.uint64(1)) == (
-            lab_sorted[:-1, 0] >> np.uint64(1)
-        )
-        if labels.shape[1] > 1:
-            adjacent &= (lab_sorted[1:, 1:] == lab_sorted[:-1, 1:]).all(axis=1)
+    order = argsort_labels(labels)
+    lab_sorted = np.take(labels, order, axis=0)
+    # Siblings differ only in bit 0 of word 0: compare word 0 >> 1 and
+    # every higher word verbatim.
+    word0_prefix = lab_sorted[:, 0] >> _ONE
+    adjacent = word0_prefix[1:] == word0_prefix[:-1]
+    if labels.shape[1] > 1:
+        adjacent &= (lab_sorted[1:, 1:] == lab_sorted[:-1, 1:]).all(axis=1)
     first = np.nonzero(adjacent)[0]
     return np.stack([order[first], order[first + 1]], axis=1)
 
@@ -121,7 +116,7 @@ def sibling_pair_weights(level: Level, pairs: np.ndarray) -> np.ndarray:
     must be subtracted from the per-vertex sums; pairs without an internal
     edge get 0.  Works off the level's undirected edge arrays: an edge is
     internal to a pair iff its endpoints are exactly the pair's two
-    members (representation-agnostic -- no label comparison needed).
+    members (no label comparison needed).
     """
     k = pairs.shape[0]
     out = np.zeros(k, dtype=np.float64)
@@ -207,8 +202,8 @@ def vertex_lsb_sums(
 
     One gather + one segment reduction over the whole CSR -- this is the
     O(|E|) inner kernel of the batch swap pass.  Only the LSB of each
-    label matters, so both width regimes reduce to the same int64 bit
-    array before any arithmetic (and before the backend dispatch).
+    label matters, so the labels reduce to an int64 bit array before any
+    arithmetic (and before the backend dispatch).
     """
     b = label_lsb(labels)
     return current_backend().vertex_lsb_sums(b, indptr, indices, weights)
@@ -223,7 +218,7 @@ def batch_pair_deltas(
 ) -> np.ndarray:
     """Swap gains of all ``pairs`` in one vectorized pass.
 
-    Equals ``[_swap_delta(labels, *csr, u, v, sign) for u, v in pairs]``
+    Equals ``[pair_delta(labels, *csr, u, v, sign) for u, v in pairs]``
     up to floating-point associativity (exactly, for integer-valued
     weights).  ``pair_w`` comes from :func:`sibling_pair_weights`.
     """
@@ -324,7 +319,7 @@ def batch_swap_pass(
         swap, deltas = backend.greedy_fixpoint(deltas0, own, dst, c0)
         cu, cv = pu[swap], pv[swap]
         if cu.size:
-            tmp = labels[cu].copy()
+            tmp = labels[cu]
             labels[cu] = labels[cv]
             labels[cv] = tmp
             n_swaps += int(cu.size)

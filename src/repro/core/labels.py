@@ -6,11 +6,9 @@ Packing convention (consistent across the whole package): a label's
 inside each block.  The paper's "last digit" -- the one hierarchies cut
 first -- is bit 0.
 
-Labels with ``dim_p + dim_e <= 63`` stay in the narrow packed ``int64``
-representation (byte-identical to the historical code); wider labelings
--- large fat-trees, any topology past 63 Djokovic classes -- use the
-``(n, W)`` ``uint64`` wide representation of :mod:`repro.utils.bitops`.
-Every accessor here is polymorphic over both.
+Labels are ``(n, W)`` ``uint64`` arrays with ``W =
+words_for_bits(dim_p + dim_e)``, the one representation of
+:mod:`repro.utils.bitops`.
 
 ``dim_e`` follows Definition 4.1: ``max_vp ceil(log2 |mu^-1(vp)|)``, and
 the per-block extension values ``0 .. size-1`` are assigned in random
@@ -19,6 +17,7 @@ order ("shuffled") to give the diversification objective a random start.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +26,11 @@ from repro.errors import MappingError
 from repro.graphs.graph import Graph
 from repro.partialcube.djokovic import PartialCubeLabeling
 from repro.utils.bitops import (
-    MAX_LABEL_BITS,
     bit_length_for,
-    label_mask,
     label_sort_keys,
-    narrow_labels,
-    resize_label_words,
     shift_left_labels,
     shift_right_labels,
+    wide_mask,
     widen_labels,
     words_for_bits,
 )
@@ -49,8 +45,7 @@ class ApplicationLabeling:
     Attributes
     ----------
     labels:
-        packed ``l_a`` per application vertex -- narrow 1-D ``int64`` or
-        wide ``(n, W)`` ``uint64``.
+        packed ``l_a`` per application vertex, ``(n, W)`` ``uint64``.
     dim_p / dim_e:
         widths of the processor part and the extension part.
     pe_labels:
@@ -78,18 +73,13 @@ class ApplicationLabeling:
 
     def le_part(self) -> np.ndarray:
         """Extension suffix of every vertex."""
-        return self.labels & label_mask(self.dim_e, self.labels)
+        return self.labels & wide_mask(self.dim_e, self.labels.shape[1])
 
     def mu(self) -> np.ndarray:
         """Decode the mapping ``mu : V_a -> V_p`` from the labels."""
-        # lp prefixes use dim_p bits; bring them to pe_labels'
-        # representation so the sort keys are directly comparable.
-        lp = self.lp_part()
-        if self.pe_labels.ndim == 1:
-            if lp.ndim == 2:
-                lp = narrow_labels(lp)
-        else:
-            lp = resize_label_words(lp, self.pe_labels.shape[1])
+        # lp prefixes use dim_p bits; bring them to pe_labels' word
+        # count so the sort keys are directly comparable.
+        lp = widen_labels(self.lp_part(), self.pe_labels.shape[1])
         pe_keys = label_sort_keys(self.pe_labels)
         order = np.argsort(pe_keys, kind="stable")
         sorted_keys = pe_keys[order]
@@ -102,17 +92,7 @@ class ApplicationLabeling:
         return order[pos]
 
     def with_labels(self, labels: np.ndarray) -> "ApplicationLabeling":
-        labels = np.asarray(labels)
-        if labels.ndim == 1:
-            labels = labels.astype(np.int64, copy=False)
-        else:
-            labels = labels.astype(np.uint64, copy=False)
-        return ApplicationLabeling(
-            labels=labels,
-            dim_p=self.dim_p,
-            dim_e=self.dim_e,
-            pe_labels=self.pe_labels,
-        )
+        return dataclasses.replace(self, labels=labels)
 
     def check_bijective(self) -> None:
         """Labels must be pairwise distinct (paper requirement 3)."""
@@ -135,10 +115,7 @@ def build_application_labeling(
     """Construct ``l_a`` from a mapping (paper section 4).
 
     Steps: transport ``l_p`` through ``mu``; number the vertices of each
-    block ``0 .. size-1`` in random order; concatenate.  Chooses the
-    narrow representation whenever ``dim_p + dim_e <= 63`` (the
-    historical fast path, byte-identical) and the wide multi-word one
-    beyond.
+    block ``0 .. size-1`` in random order; concatenate.
     """
     mu = as_int_array("mu", mu, ga.n)
     check_assignment("mu", mu, pc.n)
@@ -150,15 +127,11 @@ def build_application_labeling(
         members = np.nonzero(mu == pe)[0]
         if members.size:
             le[members] = rng.permutation(members.size)
-    if dim_p + dim_e <= MAX_LABEL_BITS and pc.labels.ndim == 1:
-        labels = (pc.labels[mu] << dim_e) | le
-    else:
-        words = words_for_bits(dim_p + dim_e)
-        base = widen_labels(pc.labels, words)
-        labels = shift_left_labels(base[mu], dim_e)
-        # dim_e < 64 always (block sizes are array sizes), so the
-        # extension lives entirely in word 0.
-        labels[:, 0] |= le.view(np.uint64)
+    base = widen_labels(pc.labels, words_for_bits(dim_p + dim_e))
+    labels = shift_left_labels(base[mu], dim_e)
+    # dim_e < 64 always (block sizes are array sizes), so the extension
+    # lives entirely in word 0.
+    labels[:, 0] |= le.view(np.uint64)
     out = ApplicationLabeling(
         labels=labels, dim_p=dim_p, dim_e=dim_e, pe_labels=pc.labels
     )

@@ -9,10 +9,9 @@ With packed labels, both terms are Hamming sums over disjoint bit masks:
 - ``Div(l_a) = sum_e w(e) * popcount(xor & le_mask)`` -- Eq. (12),
   the diversity of label extensions (same vacuous-restriction argument).
 
-Both width regimes share this shape: narrow labels use plain int masks
-and a single-word popcount, wide labels use ``(W,)`` ``uint64`` mask
-vectors broadcast over the ``(m, W)`` XOR rows with a per-row popcount
-reduction -- still one vectorized pass over the edges either way.
+The masks are ``(W,)`` ``uint64`` word vectors broadcast over the
+``(m, W)`` XOR rows, with a per-row popcount reduction -- one vectorized
+pass over the edges.
 
 For permuted labels inside a hierarchy, each bit position carries a sign
 (+1 for lp bits, -1 for le bits); :func:`coco_plus_signed` evaluates the
@@ -25,18 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.utils.bitops import mask_of_width, popcount_labels, wide_mask
+from repro.utils.bitops import int_to_label_row, popcount_labels, wide_mask
 
 
 def _masks(dim_p: int, dim_e: int, labels: np.ndarray):
-    """(lp_mask, le_mask) in the representation matching ``labels``."""
-    if np.asarray(labels).ndim == 1:
-        return mask_of_width(dim_p) << dim_e, mask_of_width(dim_e)
+    """(lp_mask, le_mask) word vectors matching ``labels``' word count."""
     words = labels.shape[1]
-    return (
-        wide_mask(dim_p + dim_e, words) ^ wide_mask(dim_e, words),
-        wide_mask(dim_e, words),
-    )
+    le_mask = wide_mask(dim_e, words)
+    return wide_mask(dim_p + dim_e, words) ^ le_mask, le_mask
 
 
 def coco_of_labels(ga: Graph, labels: np.ndarray, dim_p: int, dim_e: int) -> float:
@@ -71,31 +66,6 @@ def coco_plus(ga: Graph, labels: np.ndarray, dim_p: int, dim_e: int) -> float:
     )
 
 
-def coco_plus_edges(
-    us: np.ndarray,
-    vs: np.ndarray,
-    ws: np.ndarray,
-    labels: np.ndarray,
-    lp_mask,
-    le_mask,
-) -> float:
-    """``Coco+`` over explicit edge arrays (used on hierarchy levels).
-
-    ``lp_mask`` / ``le_mask`` are ints for narrow labels and ``(W,)``
-    ``uint64`` vectors for wide ones (see :func:`_masks`).
-    """
-    xor = labels[us] ^ labels[vs]
-    return float(
-        (
-            ws
-            * (
-                popcount_labels(xor & lp_mask).astype(np.float64)
-                - popcount_labels(xor & le_mask)
-            )
-        ).sum()
-    )
-
-
 def coco_plus_signed(
     ga: Graph, labels: np.ndarray, signs: np.ndarray
 ) -> float:
@@ -106,22 +76,15 @@ def coco_plus_signed(
     unpermuted labels; kept separate for tests that pin down the
     permutation bookkeeping.
     """
-    signs = np.asarray(signs, dtype=np.int64)
-    if np.asarray(labels).ndim == 1:
-        pos_mask = 0
-        neg_mask = 0
-        for j, s in enumerate(signs):
-            if s > 0:
-                pos_mask |= 1 << j
-            else:
-                neg_mask |= 1 << j
-    else:
-        words = labels.shape[1]
-        pos_mask = np.zeros(words, dtype=np.uint64)
-        neg_mask = np.zeros(words, dtype=np.uint64)
-        for j, s in enumerate(signs):
-            target = pos_mask if s > 0 else neg_mask
-            target[j // 64] |= np.uint64(1) << np.uint64(j % 64)
+    pos = neg = 0
+    for j, s in enumerate(np.asarray(signs, dtype=np.int64).tolist()):
+        if s > 0:
+            pos |= 1 << j
+        else:
+            neg |= 1 << j
+    words = labels.shape[1]
+    pos_mask = int_to_label_row(pos, words)
+    neg_mask = int_to_label_row(neg, words)
     us, vs, ws = ga.edge_arrays()
     xor = labels[us] ^ labels[vs]
     return float(

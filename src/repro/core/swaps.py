@@ -41,18 +41,12 @@ from repro.utils.bitops import label_lsb, swap_label_rows
 from repro.utils.segments import build_csr
 
 __all__ = [
-    "build_adjacency",
     "sibling_pairs",
     "swap_pass",
     "swap_pass_reference",
     "kl_swap_pass",
     "kl_swap_pass_reference",
 ]
-
-
-def build_adjacency(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, indices, weights) of a level's edge arrays."""
-    return build_csr(level.n, level.us, level.vs, level.ws)
 
 
 def swap_pass(
@@ -82,7 +76,7 @@ def swap_pass_reference(level: Level, sign: int, sweeps: int = 1) -> tuple[int, 
     labels = level.labels
     if labels.shape[0] < 2 or level.us.size == 0:
         return 0, 0.0
-    indptr, indices, weights = build_adjacency(level)
+    indptr, indices, weights = build_csr(level.n, level.us, level.vs, level.ws)
     n_swaps = 0
     total_delta = 0.0
     for _ in range(max(1, sweeps)):
@@ -90,7 +84,7 @@ def swap_pass_reference(level: Level, sign: int, sweeps: int = 1) -> tuple[int, 
         pairs = sibling_pairs(labels)
         for u, v in pairs:
             u, v = int(u), int(v)
-            delta = _swap_delta(labels, indptr, indices, weights, u, v, sign)
+            delta = pair_delta(labels, indptr, indices, weights, u, v, sign)
             if delta < 0.0:
                 swap_label_rows(labels, u, v)
                 n_swaps += 1
@@ -99,11 +93,6 @@ def swap_pass_reference(level: Level, sign: int, sweeps: int = 1) -> tuple[int, 
         if swapped_this_sweep == 0:
             break
     return n_swaps, total_delta
-
-
-#: Scalar per-pair gain; lives in :mod:`repro.core.kernels` now but stays
-#: importable from here for backward compatibility.
-_swap_delta = pair_delta
 
 
 def kl_swap_pass(

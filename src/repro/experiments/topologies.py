@@ -50,7 +50,7 @@ WIDENED_TOPOLOGIES: tuple[str, ...] = (
 #: contrast.  ``fattree2x7`` is the headline instance -- 255 PEs, 254
 #: Djokovic classes, 4-word labels; ``fattree4x3`` (85 PEs, 84 classes)
 #: is the cheap 2-word variant; ``dragonfly16x6`` scales the dragonfly
-#: to 1024 PEs (narrow dim 14, included for the PE-count axis).
+#: to 1024 PEs (one-word labels, dim 14; included for the PE-count axis).
 WIDE_TOPOLOGIES: tuple[str, ...] = (
     "fattree2x7",
     "fattree4x3",

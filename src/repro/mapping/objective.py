@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import MappingError
 from repro.graphs.algorithms import all_pairs_distances, bfs_distances
 from repro.graphs.graph import Graph
-from repro.utils.bitops import hamming_labels
+from repro.utils.bitops import as_label_array, hamming_labels
 from repro.utils.validation import as_int_array, check_assignment
 
 
@@ -50,13 +50,11 @@ def coco_from_labels(ga: Graph, labels_p_of_vertex: np.ndarray) -> float:
     """Coco evaluated as Hamming distance of per-vertex PE labels.
 
     ``labels_p_of_vertex[v]`` must be the packed partial-cube label of
-    ``mu(v)`` -- narrow 1-D ``int64`` or wide ``(n, W)`` ``uint64``; the
-    hop distance is then ``popcount(xor)`` (Definition 2.2), the identity
-    that makes TIMER fast.
+    ``mu(v)`` -- a 1-D array of non-negative integers or ``(n, W)``
+    ``uint64``; the hop distance is then ``popcount(xor)`` (Definition
+    2.2), the identity that makes TIMER fast.
     """
-    lab = np.asarray(labels_p_of_vertex)
-    if lab.ndim == 1:
-        lab = lab.astype(np.int64, copy=False)
+    lab = as_label_array(labels_p_of_vertex)
     us, vs, ws = ga.edge_arrays()
     return float((ws * hamming_labels(lab[us], lab[vs])).sum())
 

@@ -15,15 +15,13 @@ Implements the paper's §3 procedure:
    cheap at processor-graph scale and makes recognition sound rather than
    merely heuristic.
 
-Labels are packed with Djokovic class ``j`` at bit ``j``.  Up to 63
-classes (every topology in the paper; the 16x16 torus is the largest
-with 32) they stay in a single ``int64`` word -- the original narrow
-representation, byte-identical to the pre-wide code.  Beyond 63 classes
-(trees past 64 vertices, large fat-trees) labels switch to the wide
-``(n, W)`` ``uint64`` representation of :mod:`repro.utils.bitops`, so
-recognition, labeling and verification now work at any isometric
-dimension.  :func:`djokovic_classes` still exposes the raw class
-structure directly.
+Labels are packed with Djokovic class ``j`` at bit ``j`` into the
+``(n, W)`` ``uint64`` representation of :mod:`repro.utils.bitops`: one
+word up to 64 classes (every topology in the paper; the 16x16 torus is
+the largest with 32), more beyond (trees past 65 vertices, large
+fat-trees), so recognition, labeling and verification work at any
+isometric dimension.  :func:`djokovic_classes` still exposes the raw
+class structure directly.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.errors import NotPartialCubeError
 from repro.graphs.algorithms import all_pairs_distances, bipartition_colors, is_connected
 from repro.graphs.graph import Graph
 from repro.utils.bitops import (
-    MAX_LABEL_BITS,
+    WORD_BITS,
     bitwise_count,
     get_label_bit,
     pack_bit_matrix,
@@ -52,9 +50,8 @@ class PartialCubeLabeling:
     Attributes
     ----------
     labels:
-        one packed bitvector per vertex; bit ``j`` is the side of
-        Djokovic class ``j``.  Narrow ``int64`` array for ``dim <= 63``,
-        wide ``(n, W)`` ``uint64`` array beyond.
+        one packed bitvector per vertex, ``(n, W)`` ``uint64``; bit
+        ``j`` is the side of Djokovic class ``j``.
     dim:
         number of Djokovic classes (= isometric dimension of the graph).
     cut_edges:
@@ -69,11 +66,6 @@ class PartialCubeLabeling:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
-
-    @property
-    def words(self) -> int:
-        """Words per label (1 on the narrow fast path)."""
-        return int(self.labels.shape[1]) if self.labels.ndim == 2 else 1
 
     def side(self, j: int) -> np.ndarray:
         """Boolean array: which vertices have bit ``j`` set."""
@@ -259,9 +251,8 @@ def cut_edges_from_labels(labels, dim: int, us, vs) -> tuple:
     Class ``j`` is, by construction, exactly the set of edges whose
     endpoint labels differ in bit ``j`` -- so ``cut_edges`` is fully
     derived data and the disk cache stores only ``labels``/``dim``.
-    Accepts both label representations (packed ``int64`` vector for
-    ``dim <= 63``, wide ``(n, W)`` ``uint64`` matrix beyond); the
-    power-of-two ``log2`` recovery is exact in float64 up to ``2**63``.
+    The power-of-two ``log2`` recovery of the bit inside its word is
+    exact in float64 up to ``2**63``.
 
     Raises ``ValueError`` when the labels are not a valid partial-cube
     labeling of these edges (an endpoint pair differing in zero or
@@ -270,32 +261,19 @@ def cut_edges_from_labels(labels, dim: int, us, vs) -> tuple:
     """
     if not dim:
         return ()
-    labels = np.asarray(labels)
     us = np.asarray(us)
     vs = np.asarray(vs)
-    if labels.ndim == 1:
-        diff = (labels[us] ^ labels[vs]).astype(np.uint64)
-        if (diff == 0).any() or (diff & (diff - np.uint64(1))).any():
-            raise ValueError(
-                "labels are not a partial-cube labeling of these edges"
-            )
-        edge_class = np.log2(diff.astype(np.float64)).astype(np.int64)
-    else:
-        diff = labels[us] ^ labels[vs]  # (m, W) uint64 words
-        nonzero = diff != 0
-        if (nonzero.sum(axis=1) != 1).any():
-            raise ValueError(
-                "labels are not a partial-cube labeling of these edges"
-            )
-        word = np.argmax(nonzero, axis=1)
-        bits = diff[np.arange(diff.shape[0]), word]
-        if (bits & (bits - np.uint64(1))).any():
-            raise ValueError(
-                "labels are not a partial-cube labeling of these edges"
-            )
-        edge_class = 64 * word.astype(np.int64) + np.log2(
-            bits.astype(np.float64)
-        ).astype(np.int64)
+    diff = labels[us] ^ labels[vs]  # (m, W) uint64 words
+    nonzero = diff != 0
+    if (nonzero.sum(axis=1) != 1).any():
+        raise ValueError("labels are not a partial-cube labeling of these edges")
+    word = np.argmax(nonzero, axis=1)
+    bits = diff[np.arange(diff.shape[0]), word]
+    if (bits & (bits - np.uint64(1))).any():
+        raise ValueError("labels are not a partial-cube labeling of these edges")
+    edge_class = WORD_BITS * word.astype(np.int64) + np.log2(
+        bits.astype(np.float64)
+    ).astype(np.int64)
     if edge_class.size and int(edge_class.max()) >= dim:
         raise ValueError(f"edge class exceeds labeling dimension {dim}")
     return _assemble_cut_edges(edge_class, us, vs, dim)
@@ -315,10 +293,9 @@ def partial_cube_labeling(g: Graph, verify: bool = True) -> PartialCubeLabeling:
         turns silent miscomputations into loud errors at negligible cost
         for ``n <= ~2000``.
 
-    Labels come back narrow (packed ``int64``) for ``dim <= 63`` --
-    byte-identical to the historical representation -- and wide
-    (``(n, W)`` ``uint64``) beyond, so any partial cube labels now,
-    including trees with hundreds of vertices.
+    Labels come back as ``(n, words_for_bits(dim))`` ``uint64``, so any
+    partial cube labels, including trees with hundreds of vertices; a
+    single vertex (dim 0) gets ``(1, 1)`` zeros.
     """
     if g.n == 0:
         raise NotPartialCubeError("empty graph has no labeling", reason="empty")
@@ -326,24 +303,15 @@ def partial_cube_labeling(g: Graph, verify: bool = True) -> PartialCubeLabeling:
     edge_class, classes = djokovic_classes(g, distances)
     dim = len(classes)
     us, vs, _ = g.edge_arrays()
-    if dim:
-        # All side tests d(x, u) vs d(y, u) batched over vertices x classes.
-        xs = np.fromiter((x for x, _ in classes), dtype=np.int64, count=dim)
-        ys = np.fromiter((y for _, y in classes), dtype=np.int64, count=dim)
-        on_y_side = distances[ys] < distances[xs]  # (dim, n)
-        if dim <= MAX_LABEL_BITS:
-            shifts = np.int64(1) << np.arange(dim, dtype=np.int64)
-            labels = (on_y_side.astype(np.int64) * shifts[:, None]).sum(axis=0)
-        else:
-            labels = pack_bit_matrix(on_y_side.T)
-        cut_edges = _assemble_cut_edges(edge_class, us, vs, dim)
-    else:
-        labels = np.zeros(g.n, dtype=np.int64)
-        cut_edges = ()
+    # All side tests d(x, u) vs d(y, u) batched over vertices x classes.
+    xs = np.fromiter((x for x, _ in classes), dtype=np.int64, count=dim)
+    ys = np.fromiter((y for _, y in classes), dtype=np.int64, count=dim)
+    on_y_side = distances[ys] < distances[xs]  # (dim, n)
+    labels = pack_bit_matrix(on_y_side.T)
+    cut_edges = _assemble_cut_edges(edge_class, us, vs, dim) if dim else ()
     result = PartialCubeLabeling(labels=labels, dim=dim, cut_edges=cut_edges)
     if verify:
-        # Backend-dispatched in both representations (compiled SWAR loop
-        # on the numba tiers; the numpy reference is unchanged).
+        # Backend-dispatched (compiled SWAR loop on the numba tiers).
         ham = pairwise_hamming(labels)
         if not np.array_equal(ham, distances):
             raise NotPartialCubeError(

@@ -24,8 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.bitops import MAX_LABEL_BITS, get_label_bit
+from repro.utils.bitops import as_label_array, get_label_bit
 from repro.utils.rng import SeedLike, make_rng
+
+#: Deepest level whose group ids are the literal prefix values: an id
+#: is an int64 part id, so it holds at most 63 prefix bits.  This bounds
+#: the part ids, not the label width.
+_PREFIX_ID_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,11 @@ class LabelHierarchy:
     value = same part of partition ``P_i``, and sorting by value sorts by
     prefix.  ``group_ids[0]`` is all zeros (the single root part).
 
-    While ``i <= 63`` the id *is* the integer prefix itself (the
-    historical convention, which :meth:`parent_of_part` relies on); for
-    deeper levels -- possible now that labels may exceed 63 bits -- the
-    ids switch to order-preserving dense ranks, since the prefixes no
-    longer fit an int64.
+    While ``i <= 63`` the id *is* the integer prefix
+    itself (the convention :meth:`parent_of_part` relies on); for deeper
+    levels -- labels may be wider than 63 bits -- the ids switch to
+    order-preserving dense ranks, since the prefixes no longer fit an
+    int64.
     """
 
     dim: int
@@ -73,10 +78,10 @@ class LabelHierarchy:
         """
         if i < 1:
             raise IndexError("level 0 is the root")
-        if i > MAX_LABEL_BITS:
+        if i > _PREFIX_ID_BITS:
             raise IndexError(
                 f"level {i} group ids are dense ranks, not prefixes; "
-                f"parent_of_part only applies up to level {MAX_LABEL_BITS}"
+                f"parent_of_part only applies up to level {_PREFIX_ID_BITS}"
             )
         return prefix >> 1
 
@@ -89,8 +94,8 @@ def hierarchy_from_permutation(
     Parameters
     ----------
     labels:
-        packed labels, narrow 1-D ``int64`` or wide ``(n, W)`` ``uint64``
-        (bit ``j`` = label entry for class ``j``).
+        packed labels (bit ``j`` = label entry for class ``j``): a 1-D
+        array of non-negative integers or ``(n, W)`` ``uint64``.
     dim:
         label width in bits.
     perm:
@@ -99,9 +104,7 @@ def hierarchy_from_permutation(
         *first* (coarsest / most significant) entry.  ``None`` draws a
         uniformly random permutation from ``seed``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = labels.astype(np.int64, copy=False)
+    labels = as_label_array(labels)
     if perm is None:
         perm = make_rng(seed).permutation(dim)
     perm = np.asarray(perm, dtype=np.int64)
@@ -110,9 +113,9 @@ def hierarchy_from_permutation(
     group_ids = [np.zeros(labels.shape[0], dtype=np.int64)]
     for i in range(dim):
         bit = get_label_bit(labels, int(perm[i]))
-        if i < MAX_LABEL_BITS:
-            # Historical convention: the id is the prefix value itself
-            # (fits int64 while the prefix has at most 63 bits).
+        if i < _PREFIX_ID_BITS:
+            # The id is the prefix value itself (fits int64 while the
+            # prefix has at most 63 bits).
             group_ids.append((group_ids[-1] << 1) | bit)
         else:
             # Prefixes no longer fit an int64; keep order-preserving
@@ -121,7 +124,7 @@ def hierarchy_from_permutation(
             # sorted the same way).  Densify the last value-based level
             # once before extending it.
             prev = group_ids[-1]
-            if i == MAX_LABEL_BITS:
+            if i == _PREFIX_ID_BITS:
                 _, prev = np.unique(prev, return_inverse=True)
             key = prev * 2 + bit
             _, inverse = np.unique(key, return_inverse=True)

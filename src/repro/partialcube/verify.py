@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.graphs.algorithms import all_pairs_distances
 from repro.graphs.graph import Graph
-from repro.utils.bitops import pairwise_hamming
+from repro.utils.bitops import as_label_array, pairwise_hamming
 
 
 def labeling_distance_error(g: Graph, labels: np.ndarray) -> int:
@@ -19,13 +19,11 @@ def labeling_distance_error(g: Graph, labels: np.ndarray) -> int:
 
     0 means ``labels`` is a valid partial-cube labeling of ``g`` (provided
     the graph is connected; disconnected pairs have distance -1 and always
-    count as errors).  Accepts both label representations: narrow 1-D
-    ``int64`` and wide ``(n, W)`` ``uint64``.
+    count as errors).  Accepts a 1-D array of non-negative integers or
+    ``(n, W)`` ``uint64`` labels.
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = labels.astype(np.int64, copy=False)
-    if labels.shape[0] != g.n or labels.ndim > 2:
+    labels = as_label_array(labels)
+    if labels.shape[0] != g.n:
         raise ValueError(
             f"labels must have shape ({g.n},) or ({g.n}, W), got {labels.shape}"
         )

@@ -5,11 +5,9 @@ from repro.utils.bitops import (
     popcount,
     hamming,
     bit_length_for,
-    mask_of_width,
     permute_bits,
     unpermute_bits,
     words_for_bits,
-    is_wide,
     popcount_labels,
     hamming_labels,
     pairwise_hamming,
@@ -28,11 +26,9 @@ __all__ = [
     "popcount",
     "hamming",
     "bit_length_for",
-    "mask_of_width",
     "permute_bits",
     "unpermute_bits",
     "words_for_bits",
-    "is_wide",
     "popcount_labels",
     "hamming_labels",
     "pairwise_hamming",

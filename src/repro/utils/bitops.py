@@ -1,46 +1,44 @@
-"""Bit-level helpers for label arithmetic, narrow and wide.
+"""Bit-level helpers for label arithmetic.
 
 Vertex labels in TIMER are bitvectors of length ``dim_Ga``.  The library
-stores them in one of two representations, and every helper here (and
-every label consumer in the package) is polymorphic over both:
-
-- **narrow** -- ``dim <= MAX_LABEL_BITS`` (63): a 1-D ``int64`` array,
-  one packed word per vertex.  This is the original representation; all
-  fixed-seed outputs on it are byte-identical to the pre-wide code, and
-  the hot kernels keep their single-word arithmetic.
-- **wide** -- ``dim > MAX_LABEL_BITS``: a 2-D ``(n, W)`` ``uint64`` array
-  with ``W = ceil(dim / 64)`` words per vertex, word ``w`` holding bits
-  ``64*w .. 64*w + 63`` (little-endian word order).  This lifts the
-  63-class partial-cube cap: trees beyond 64 vertices, fat-trees beyond
-  64 PEs and any ``dim_p + dim_e > 63`` application labeling now label
-  fine.
+stores every label array one way: a 2-D ``(n, W)`` ``uint64`` array with
+``W = words_for_bits(dim) = max(1, ceil(dim / 64))`` words per vertex,
+word ``w`` holding bits ``64*w .. 64*w + 63`` (little-endian word order).
+The paper's topologies (dim <= 63) take one word; trees beyond 64
+vertices, fat-trees beyond 64 PEs and any ``dim_p + dim_e > 64``
+application labeling take more.  This module is the only one that knows
+the word layout and the sort-key format.
 
 Bit ``0`` (the least significant bit of word 0) is the paper's *last*
 label entry -- the digit that the hierarchy construction cuts off first
 -- and the lp-part (processor labels) occupies the *high* bits.
 
-Ordering and sorting of wide labels go through :func:`label_sort_keys`,
-which views the words as big-endian, most-significant-word-first byte
-strings: ``memcmp`` order on those keys equals numeric order of the
-bitvectors, so one ``void``-dtype argsort/searchsorted replaces every
-integer comparison the narrow code relies on.
+Ordering and grouping go through :func:`label_sort_keys`, a 1-D key per
+label whose order equals the numeric order of the bitvectors: the word
+itself when ``W == 1`` (``uint64`` order is bitvector order), and a
+big-endian, most-significant-word-first ``void`` byte string when
+``W >= 2`` (``memcmp`` order is bitvector order).  Keys are compared
+only between arrays of the same word count.
 
-All helpers here are pure and vectorized so the hot paths of the
-objective function and the swap passes stay in numpy in both width
-regimes.
+Labels supplied from outside the library enter through
+:func:`as_label_array`, which turns a 1-D array of non-negative integers
+into ``(n, 1)`` labels.  All helpers here are pure and vectorized so the
+hot paths of the objective function and the swap passes stay in numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Maximum label width of the *narrow* (single ``int64`` word)
-#: representation.  63 keeps narrow labels inside signed int64; wider
-#: labelings switch to the multi-word representation automatically.
-MAX_LABEL_BITS = 63
-
-#: Bits per word of the wide representation.
+#: Bits per label word.
 WORD_BITS = 64
+
+# Prebuilt word scalars: making an ``np.uint64`` per call costs about
+# as much as one operation on a one-word label array.
+_ONE = np.uint64(1)
+_SHIFTS = tuple(np.uint64(k) for k in range(WORD_BITS + 1))
+_LOW_MASKS = tuple(np.uint64((1 << k) - 1) for k in range(WORD_BITS + 1))
+_INT64 = np.dtype(np.int64)
 
 #: Popcounts of all byte values; powers the byte-LUT reference fallback.
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -108,7 +106,7 @@ def popcount(x: np.ndarray) -> np.ndarray:
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise Hamming distance between packed bitvectors."""
+    """Elementwise Hamming distance between packed integers."""
     return bitwise_count(np.bitwise_xor(a, b))
 
 
@@ -123,69 +121,50 @@ def bit_length_for(n: int) -> int:
     return int(n - 1).bit_length()
 
 
-def mask_of_width(width: int) -> int:
-    """Bitmask with the ``width`` least significant bits set (narrow)."""
-    if width < 0 or width > MAX_LABEL_BITS:
-        raise ValueError(f"mask width {width} out of range [0, {MAX_LABEL_BITS}]")
-    return (1 << width) - 1
-
-
 # ----------------------------------------------------------------------
-# Representation plumbing
+# Construction and coercion
 # ----------------------------------------------------------------------
 def words_for_bits(dim: int) -> int:
-    """Number of 64-bit words a ``dim``-bit label occupies.
-
-    1 for every narrow width (``dim <= MAX_LABEL_BITS`` keeps the packed
-    int64 representation), ``ceil(dim / 64)`` beyond.
-    """
+    """Number of 64-bit words a ``dim``-bit label occupies (at least 1)."""
     if dim < 0:
         raise ValueError(f"label width {dim} must be >= 0")
-    if dim <= MAX_LABEL_BITS:
-        return 1
-    return -(-dim // WORD_BITS)
-
-
-def is_wide(labels: np.ndarray) -> bool:
-    """True for the multi-word ``(n, W)`` representation."""
-    return np.asarray(labels).ndim == 2
-
-
-def label_words(labels: np.ndarray) -> int:
-    """Words per label: 1 for narrow arrays, ``W`` for wide ones."""
-    labels = np.asarray(labels)
-    return int(labels.shape[1]) if labels.ndim == 2 else 1
+    return max(1, -(-dim // WORD_BITS))
 
 
 def zeros_labels(n: int, dim: int) -> np.ndarray:
-    """All-zero label array of the representation matching ``dim``."""
-    if dim <= MAX_LABEL_BITS:
-        return np.zeros(n, dtype=np.int64)
+    """All-zero ``(n, words_for_bits(dim))`` label array."""
     return np.zeros((n, words_for_bits(dim)), dtype=np.uint64)
 
 
-def as_label_array(labels: np.ndarray) -> np.ndarray:
-    """Canonical dtype view: int64 for narrow input, uint64 for wide."""
-    labels = np.asarray(labels)
-    if labels.ndim == 2:
-        return labels.astype(np.uint64, copy=False)
-    return labels.astype(np.int64, copy=False)
+def as_label_array(labels) -> np.ndarray:
+    """Coerce caller-supplied labels to the ``(n, W)`` ``uint64`` form.
 
-
-def widen_labels(labels: np.ndarray, words: int) -> np.ndarray:
-    """Convert to the wide representation with (at least) ``words`` words.
-
-    Narrow input lands in word 0; already-wide input is zero-padded (or
-    truncated, asserting the dropped high words are all zero).
+    A 1-D array of non-negative integers becomes ``(n, 1)`` labels, one
+    packed word per vertex; a ``(n, W)`` ``uint64`` array passes through
+    unchanged.  Anything else raises ``ValueError``.
     """
     labels = np.asarray(labels)
-    if labels.ndim == 1:
-        out = np.zeros((labels.shape[0], max(1, words)), dtype=np.uint64)
-        out[:, 0] = labels.astype(np.int64).view(np.uint64)
-        return out
+    if labels.ndim == 2 and labels.dtype == np.uint64:
+        return labels
+    if labels.ndim == 1 and labels.dtype.kind in "iu":
+        if labels.size and labels.min() < 0:
+            raise ValueError("labels must be non-negative")
+        return labels.astype(np.uint64).reshape(-1, 1)
+    raise ValueError(
+        "labels must be a 1-D array of non-negative integers or an (n, W) "
+        f"uint64 array, got shape {labels.shape} dtype {labels.dtype}"
+    )
+
+
+def widen_labels(labels, words: int) -> np.ndarray:
+    """Pad (with zero high words) or truncate labels to ``words`` words.
+
+    Truncation asserts that the dropped high words are all zero.
+    """
+    labels = as_label_array(labels)
     cur = labels.shape[1]
     if cur == words:
-        return labels.astype(np.uint64, copy=False)
+        return labels
     if cur < words:
         out = np.zeros((labels.shape[0], words), dtype=np.uint64)
         out[:, :cur] = labels
@@ -195,41 +174,16 @@ def widen_labels(labels: np.ndarray, words: int) -> np.ndarray:
     return np.ascontiguousarray(labels[:, :words])
 
 
-def narrow_labels(labels: np.ndarray) -> np.ndarray:
-    """Convert to the narrow int64 representation (high words must be 0)."""
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return labels.astype(np.int64, copy=False)
-    if labels.shape[1] > 1 and np.any(labels[:, 1:]):
-        raise ValueError("labels do not fit in one word")
-    word0 = np.ascontiguousarray(labels[:, 0], dtype=np.uint64)
-    if np.any(word0 >> np.uint64(MAX_LABEL_BITS)):
-        raise ValueError(f"labels exceed {MAX_LABEL_BITS} bits")
-    return word0.view(np.int64)
-
-
-def resize_label_words(labels: np.ndarray, words: int) -> np.ndarray:
-    """Match a wide array's word count (pad/truncate); narrow passthrough."""
-    if np.asarray(labels).ndim == 1 and words == 1:
-        return np.asarray(labels, dtype=np.int64)
-    return widen_labels(labels, words)
-
-
-def copy_labels(labels: np.ndarray) -> np.ndarray:
-    """A mutable copy in canonical dtype (both representations)."""
-    return as_label_array(labels).copy()
-
-
 # ----------------------------------------------------------------------
-# Polymorphic label arithmetic
+# Label arithmetic
 # ----------------------------------------------------------------------
 def popcount_labels(x: np.ndarray) -> np.ndarray:
-    """Per-label popcount: one int per label row in either representation.
+    """Per-label popcount: one int per label row.
 
-    Accepts any array whose *last* axis is the word axis for wide input
-    (so pairwise ``(n, n, W)`` XOR tensors reduce correctly).  Dispatches
-    through the active kernel backend (the numba tiers run a compiled
-    SWAR reduction over the word axis).
+    The *last* axis is the word axis, so pairwise ``(n, n, W)`` XOR
+    tensors reduce correctly.  Dispatches through the active kernel
+    backend (the numba tiers run a compiled SWAR reduction over the word
+    axis).
     """
     from repro.core.backend import current_backend
 
@@ -237,121 +191,96 @@ def popcount_labels(x: np.ndarray) -> np.ndarray:
 
 
 def hamming_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-label Hamming distance in either representation."""
+    """Per-label Hamming distance."""
     return popcount_labels(np.bitwise_xor(a, b))
 
 
-def pairwise_hamming(labels: np.ndarray, block: int = 256) -> np.ndarray:
+def pairwise_hamming(labels, block: int = 256) -> np.ndarray:
     """``(n, n)`` Hamming distance matrix of a label array.
 
-    Dispatches through the active kernel backend: the numpy reference is
-    row-blocked so the wide case never materializes the full
-    ``(n, n, W)`` XOR tensor at once; the numba tiers run a compiled
-    SWAR loop with no intermediate tensors at all.
+    Accepts caller-supplied labels (see :func:`as_label_array`) and
+    dispatches through the active kernel backend: the numpy reference is
+    row-blocked so it never materializes the full ``(n, n, W)`` XOR
+    tensor at once; the numba tiers run a compiled SWAR loop with no
+    intermediate tensors at all.
     """
     from repro.core.backend import current_backend
 
-    return current_backend().pairwise_hamming(labels, block=block)
-
-
-def label_mask(width: int, labels: np.ndarray) -> "int | np.ndarray":
-    """Low-``width``-bits mask in the representation of ``labels``.
-
-    Narrow input gets a plain int (``mask_of_width``); wide input gets a
-    ``(W,)`` ``uint64`` word vector that broadcasts against ``(n, W)``.
-    """
-    if np.asarray(labels).ndim == 1:
-        return mask_of_width(width)
-    return wide_mask(width, label_words(labels))
+    return current_backend().pairwise_hamming(as_label_array(labels), block=block)
 
 
 def wide_mask(width: int, words: int) -> np.ndarray:
-    """``(words,)`` uint64 vector with the ``width`` low bits set."""
+    """``(words,)`` uint64 vector with the ``width`` low bits set.
+
+    Broadcasts against ``(n, words)`` labels.
+    """
     if width < 0 or width > words * WORD_BITS:
         raise ValueError(f"mask width {width} out of range [0, {words * WORD_BITS}]")
-    out = np.zeros(words, dtype=np.uint64)
-    full, rem = divmod(width, WORD_BITS)
-    out[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rem:
-        out[full] = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
+    return int_to_label_row((1 << width) - 1, words)
+
+
+def low_bits(labels: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of every label, on ``words_for_bits(width)`` words.
+
+    The words above ``width`` are all zero after masking, so dropping
+    them keeps the numeric order (and the sort keys stay one word while
+    ``width <= 64``).
+    """
+    words = words_for_bits(width)
+    out = labels[:, :words].copy()
+    out[:, -1] &= _LOW_MASKS[width - WORD_BITS * (words - 1)]
     return out
 
 
 def get_label_bit(labels: np.ndarray, j: int) -> np.ndarray:
     """Bit ``j`` of every label as an int64 0/1 array."""
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return (labels >> np.int64(j)) & np.int64(1)
     w, b = divmod(j, WORD_BITS)
-    return ((labels[:, w] >> np.uint64(b)) & np.uint64(1)).astype(np.int64)
+    return ((labels[:, w] >> _SHIFTS[b]) & _ONE).view(_INT64)
 
 
 def set_label_bit(labels: np.ndarray, j: int, bits: np.ndarray) -> None:
     """OR 0/1 ``bits`` into bit ``j`` of every label, in place."""
-    if labels.ndim == 1:
-        labels |= np.asarray(bits, dtype=np.int64) << np.int64(j)
-    else:
-        w, b = divmod(j, WORD_BITS)
-        labels[:, w] |= np.asarray(bits).astype(np.uint64) << np.uint64(b)
+    w, b = divmod(j, WORD_BITS)
+    labels[:, w] |= np.asarray(bits, dtype=np.uint64) << _SHIFTS[b]
 
 
 def label_lsb(labels: np.ndarray) -> np.ndarray:
     """The least significant bit of every label (int64 0/1 array).
 
-    This is the only label content the swap kernels ever test, so both
-    width regimes share the exact same vectorized gain arithmetic.
+    This is the only label content the swap kernels ever test.
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return labels & np.int64(1)
-    return (labels[:, 0] & np.uint64(1)).astype(np.int64)
+    return (labels[:, 0] & _ONE).view(_INT64)
 
 
 def shift_right_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    """``labels >> k`` in either representation (word-carrying for wide)."""
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return labels >> np.int64(k)
+    """``labels >> k``, carrying bits across words; keeps the word count."""
     n, W = labels.shape
     word_shift, bit_shift = divmod(k, WORD_BITS)
-    out = np.zeros_like(labels)
-    if word_shift < W:
-        shifted = labels[:, word_shift:]
-        if bit_shift == 0:
-            out[:, : W - word_shift] = shifted
-        else:
-            lo = shifted >> np.uint64(bit_shift)
-            out[:, : W - word_shift] = lo
-            if shifted.shape[1] > 1:
-                out[:, : W - word_shift - 1] |= shifted[:, 1:] << np.uint64(
-                    WORD_BITS - bit_shift
-                )
+    src = labels[:, word_shift:]
+    out = src >> _SHIFTS[bit_shift]
+    if bit_shift and src.shape[1] > 1:
+        out[:, :-1] |= src[:, 1:] << _SHIFTS[WORD_BITS - bit_shift]
+    if out.shape[1] < W:  # zero the vacated high words
+        out = np.concatenate(
+            [out, np.zeros((n, W - out.shape[1]), dtype=np.uint64)], axis=1
+        )
     return out
 
 
 def shift_left_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    """``labels << k`` in either representation (word-carrying for wide).
+    """``labels << k``, carrying bits across words; keeps the word count.
 
-    Wide output keeps the input's word count; bits shifted beyond the
-    top word are dropped (callers size the array via
-    :func:`words_for_bits` first).
+    Bits shifted beyond the top word are dropped (callers size the array
+    via :func:`words_for_bits` first).
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return labels << np.int64(k)
     n, W = labels.shape
     word_shift, bit_shift = divmod(k, WORD_BITS)
     out = np.zeros_like(labels)
     if word_shift < W:
         src = labels[:, : W - word_shift]
-        if bit_shift == 0:
-            out[:, word_shift:] = src
-        else:
-            out[:, word_shift:] = src << np.uint64(bit_shift)
-            if src.shape[1] > 1:
-                out[:, word_shift + 1 :] |= src[:, :-1] >> np.uint64(
-                    WORD_BITS - bit_shift
-                )
+        out[:, word_shift:] = src << _SHIFTS[bit_shift]
+        if bit_shift and src.shape[1] > 1:
+            out[:, word_shift + 1 :] |= src[:, :-1] >> _SHIFTS[WORD_BITS - bit_shift]
     return out
 
 
@@ -361,22 +290,23 @@ def shift_left_labels(labels: np.ndarray, k: int) -> np.ndarray:
 def label_sort_keys(labels: np.ndarray) -> np.ndarray:
     """A 1-D array whose ``<``/``==`` order equals numeric label order.
 
-    Narrow labels are their own keys.  Wide labels become ``void`` byte
-    strings -- words reversed to most-significant-first and byteswapped
-    to big-endian -- so memcmp order (what numpy's void dtype sorts,
-    uniques and searchsorts by) coincides with bitvector order.
+    One-word labels are their own keys: ``uint64`` order is bitvector
+    order.  Wider labels become ``void`` byte strings -- words reversed
+    to most-significant-first and byteswapped to big-endian -- so memcmp
+    order (what numpy's void dtype sorts, uniques and searchsorts by)
+    coincides with bitvector order.  Compare keys only between arrays
+    with the same word count.
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return labels
     W = labels.shape[1]
+    if W == 1:
+        return labels[:, 0]
     be = np.ascontiguousarray(labels[:, ::-1]).astype(">u8")
     return np.ascontiguousarray(be).view(np.dtype((np.void, 8 * W))).ravel()
 
 
-#: Wide label arrays at or above this many rows argsort via the
-#: word-column radix path (np.lexsort); below it the generic void-key
-#: argsort wins on constant factors.  Tuned on the bench_micro workload.
+#: Label arrays at or above this many rows argsort via the word-column
+#: radix path (np.lexsort); below it the generic key argsort wins on
+#: constant factors.  Tuned on the bench_micro workload.
 RADIX_SORT_THRESHOLD = 256
 
 #: The radix path pays one full stable sort pass per *varying* word,
@@ -390,102 +320,86 @@ RADIX_SORT_THRESHOLD = 256
 RADIX_SORT_MAX_WORDS = 2
 
 
-def argsort_labels(labels: np.ndarray) -> np.ndarray:
+def argsort_labels(labels) -> np.ndarray:
     """Stable argsort of a label array in numeric bitvector order.
 
-    Narrow labels use numpy's integer sort directly.  Wide labels order
-    by their big-endian byte keys (:func:`label_sort_keys`); at or above
-    :data:`RADIX_SORT_THRESHOLD` rows with at most
-    :data:`RADIX_SORT_MAX_WORDS` *varying* words the memcmp-based void
-    argsort is replaced by a radix-style pass -- ``np.lexsort`` over the
-    varying word columns, least significant first.  All paths are
+    Accepts caller-supplied labels (see :func:`as_label_array`).  Orders
+    by :func:`label_sort_keys`; at or above :data:`RADIX_SORT_THRESHOLD`
+    rows with at most :data:`RADIX_SORT_MAX_WORDS` *varying* words the
+    key argsort is replaced by a radix-style pass -- ``np.lexsort`` over
+    the varying word columns, least significant first.  All paths are
     stable, so they produce the identical permutation; the choice
     dispatches through the active kernel backend.
     """
     from repro.core.backend import current_backend
 
-    return current_backend().argsort_labels(labels)
-
-
-def labels_equal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise label equality -> 1-D bool (row-wise for wide)."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim == 1:
-        return a == b
-    return (a == b).all(axis=1)
+    return current_backend().argsort_labels(as_label_array(labels))
 
 
 def swap_label_rows(labels: np.ndarray, u: int, v: int) -> None:
     """Exchange the labels of vertices ``u`` and ``v`` in place.
 
-    The 2-D case needs an explicit copy: tuple assignment of row views
-    would alias and corrupt one side.
+    Needs an explicit copy: tuple assignment of row views would alias
+    and corrupt one side.
     """
-    if labels.ndim == 1:
-        labels[u], labels[v] = labels[v], labels[u]
-    else:
-        tmp = labels[u].copy()
-        labels[u] = labels[v]
-        labels[v] = tmp
+    tmp = labels[u].copy()
+    labels[u] = labels[v]
+    labels[v] = tmp
 
 
 def unique_labels(labels: np.ndarray):
-    """Sorted-unique labels with inverse, for either representation.
+    """Sorted-unique labels with inverse.
 
     Returns ``(uniq, inverse)`` where ``uniq`` holds the distinct labels
-    in ascending numeric order (same representation as the input) and
-    ``inverse`` maps every row to its position in ``uniq`` -- the wide
-    generalization of ``np.unique(labels, return_inverse=True)``.
+    in ascending numeric order and ``inverse`` maps every row to its
+    position in ``uniq`` -- the label generalization of
+    ``np.unique(labels, return_inverse=True)``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        uniq, inverse = np.unique(labels, return_inverse=True)
-        return uniq, inverse.astype(np.int64, copy=False)
     keys = label_sort_keys(labels)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return labels[first], inverse.astype(np.int64, copy=False)
+    # Rows with equal keys hold equal labels, so the order within a
+    # group does not matter (no stable sort needed), and any row of a
+    # group can stand for it.
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.empty(keys.shape[0], dtype=bool)
+    starts[:1] = True
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    inverse = np.empty(keys.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return np.take(labels, order[starts], axis=0), inverse
 
 
 # ----------------------------------------------------------------------
 # Bit-matrix packing and integer round-trips
 # ----------------------------------------------------------------------
-def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
-    """Pack an ``(n, dim)`` 0/1 matrix into labels (column ``j`` = bit ``j``).
+def _bit_planes(labels: np.ndarray) -> np.ndarray:
+    """``(n, 64 W)`` uint8 0/1 matrix of ``labels``; column ``j`` is bit ``j``."""
+    octets = np.ascontiguousarray(labels, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")
 
-    Chooses the representation from ``dim``: narrow int64 words up to 63
-    bits, ``(n, W)`` uint64 beyond.
-    """
+
+def _from_bit_planes(planes: np.ndarray) -> np.ndarray:
+    """Labels from a 0/1 matrix with ``64 W`` columns (inverse of :func:`_bit_planes`)."""
+    octets = np.packbits(planes, axis=1, bitorder="little")
+    return octets.view("<u8").astype(np.uint64, copy=False)
+
+
+def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
+    """Pack an ``(n, dim)`` 0/1 matrix into labels (column ``j`` = bit ``j``)."""
     bits = np.asarray(bits)
     n, dim = bits.shape
-    if dim <= MAX_LABEL_BITS:
-        shifts = np.arange(dim, dtype=np.int64)
-        return (bits.astype(np.int64) << shifts[None, :]).sum(
-            axis=1, dtype=np.int64
-        )
-    W = words_for_bits(dim)
-    out = np.zeros((n, W), dtype=np.uint64)
-    for w in range(W):
-        chunk = bits[:, w * WORD_BITS : (w + 1) * WORD_BITS].astype(np.uint64)
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        out[:, w] = (chunk << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-    return out
+    planes = np.zeros((n, WORD_BITS * words_for_bits(dim)), dtype=np.uint8)
+    planes[:, :dim] = bits
+    return _from_bit_planes(planes)
 
 
 def unpack_bit_matrix(labels: np.ndarray, dim: int) -> np.ndarray:
     """``(n, dim)`` int8 0/1 matrix; column ``j`` = bit ``j`` of each label."""
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    out = np.empty((n, dim), dtype=np.int8)
-    for j in range(dim):
-        out[:, j] = get_label_bit(labels, j)
-    return out
+    return _bit_planes(labels)[:, :dim].astype(np.int8)
 
 
 def label_to_int(labels: np.ndarray, v: int) -> int:
     """Vertex ``v``'s label as an arbitrary-precision Python int."""
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        return int(labels[v])
     value = 0
     for w in range(labels.shape[1] - 1, -1, -1):
         value = (value << WORD_BITS) | int(labels[v, w])
@@ -493,7 +407,7 @@ def label_to_int(labels: np.ndarray, v: int) -> int:
 
 
 def int_to_label_row(value: int, words: int) -> np.ndarray:
-    """A Python int as one wide label row (``(words,)`` uint64)."""
+    """A Python int as one label row (``(words,)`` uint64)."""
     if value < 0 or value >> (words * WORD_BITS):
         raise ValueError(f"value does not fit in {words} words")
     mask = (1 << WORD_BITS) - 1
@@ -510,27 +424,17 @@ def permute_bits(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
     ``perm`` maps *new* bit position ``j`` to *old* bit position
     ``perm[j]``: output bit ``j`` equals input bit ``perm[j]``.  Bits above
-    ``len(perm)`` must be zero (labels use exactly ``len(perm)`` bits).
+    ``len(perm)`` must be zero (labels use exactly ``len(perm)`` bits);
+    the output keeps the input's word count.
 
-    The implementation gathers one bit-plane per output position; this
-    is at most ``dim`` vectorized passes over the array, which profiling
-    showed is far cheaper than any per-element Python loop for the
-    instance sizes of the paper.  Wide labels use the same construction
-    with word-addressed bit extraction.
+    One gather of bit columns between an unpack and a pack, so the cost
+    does not grow with a Python loop over the ``dim`` positions.
     """
     perm = np.asarray(perm, dtype=np.int64)
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = labels.astype(np.int64, copy=False)
-        out = np.zeros_like(labels)
-        for j, p in enumerate(perm):
-            bit = (labels >> int(p)) & 1
-            out |= bit << j
-        return out
-    out = np.zeros_like(labels, dtype=np.uint64)
-    for j, p in enumerate(perm):
-        set_label_bit(out, j, get_label_bit(labels, int(p)))
-    return out
+    planes = _bit_planes(labels)
+    out = np.zeros_like(planes)
+    out[:, : perm.shape[0]] = planes[:, perm]
+    return _from_bit_planes(out)
 
 
 def unpermute_bits(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -556,6 +460,6 @@ def bits_to_int(bits) -> int:
 
 def int_to_bits(value: int, width: int) -> list[int]:
     """Unpack ``value`` into ``width`` digits, most significant first."""
-    if value < 0 or (width < MAX_LABEL_BITS and value >= (1 << width)):
+    if value < 0 or value >= (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]

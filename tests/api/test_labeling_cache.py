@@ -50,7 +50,7 @@ class TestCacheRoundTrip:
         lab1 = Topology.from_name("grid4x4").labeling
         Topology.clear_sessions()
         lab2 = Topology.from_name("grid4x4").labeling
-        assert lab2.labels.ndim == 1 and np.array_equal(lab1.labels, lab2.labels)
+        assert lab2.labels.shape[1] == 1 and np.array_equal(lab1.labels, lab2.labels)
 
     def test_disabled_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv(LABELING_CACHE_ENV, raising=False)

@@ -7,7 +7,6 @@ from repro.core.labels import build_application_labeling
 from repro.core.objective import (
     coco_of_labels,
     coco_plus,
-    coco_plus_edges,
     coco_plus_signed,
     div_of_labels,
 )
@@ -15,7 +14,7 @@ from repro.graphs import generators as gen
 from repro.graphs.builder import from_edges
 from repro.mapping.objective import coco
 from repro.partialcube.djokovic import partial_cube_labeling
-from repro.utils.bitops import mask_of_width, permute_bits
+from repro.utils.bitops import label_to_int, permute_bits
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ class TestCocoOfLabels:
         """Eq. 9 on a 2-edge graph with 2-bit prefixes."""
         ga = from_edges(3, [(0, 1, 2.0), (1, 2, 3.0)])
         # dim_p=2, dim_e=1: labels (lp|le): 00|0, 01|1, 11|0
-        labels = np.asarray([0b000, 0b011, 0b110], dtype=np.int64)
+        labels = np.asarray([[0b000], [0b011], [0b110]], dtype=np.uint64)
         # prefix hamming: (00,01)=1 w2 -> 2 ; (01,11)=1 w3 -> 3
         assert coco_of_labels(ga, labels, 2, 1) == 5.0
         # extensions: (0,1)=1 w2 -> 2 ; (1,0)=1 w3 -> 3
@@ -57,14 +56,15 @@ class TestCocoPlusConsistency:
         assert np.isclose(coco_plus(ga, app.labels, app.dim_p, app.dim_e), c - d)
 
     def test_edges_form_matches(self, setup):
+        """Coco+ equals an explicit per-edge sum over Python-int labels."""
         ga, _, _, app = setup
-        us, vs, ws = ga.edge_arrays()
-        lp_mask = mask_of_width(app.dim_p) << app.dim_e
-        le_mask = mask_of_width(app.dim_e)
-        assert np.isclose(
-            coco_plus_edges(us, vs, ws, app.labels, lp_mask, le_mask),
-            coco_plus(ga, app.labels, app.dim_p, app.dim_e),
-        )
+        lp_mask = ((1 << app.dim_p) - 1) << app.dim_e
+        le_mask = (1 << app.dim_e) - 1
+        total = 0.0
+        for u, v, w in ga.edges():
+            x = label_to_int(app.labels, u) ^ label_to_int(app.labels, v)
+            total += w * (bin(x & lp_mask).count("1") - bin(x & le_mask).count("1"))
+        assert np.isclose(total, coco_plus(ga, app.labels, app.dim_p, app.dim_e))
 
     def test_signed_form_matches_after_permutation(self, setup):
         """The per-bit-sign evaluation is permutation-equivariant."""
@@ -83,10 +83,10 @@ class TestCocoPlusConsistency:
         restriction does not change the sum (asserted numerically by
         comparing to an explicit per-edge loop)."""
         ga, _, _, app = setup
-        lp_mask = mask_of_width(app.dim_p) << app.dim_e
+        lp_mask = ((1 << app.dim_p) - 1) << app.dim_e
         total = 0.0
         for u, v, w in ga.edges():
-            lu, lv = int(app.labels[u]), int(app.labels[v])
+            lu, lv = label_to_int(app.labels, u), label_to_int(app.labels, v)
             if (lu & lp_mask) == (lv & lp_mask):
                 continue  # E_a^p edges excluded, as in the paper
             total += w * bin((lu ^ lv) & lp_mask).count("1")
@@ -94,6 +94,6 @@ class TestCocoPlusConsistency:
 
     def test_zero_extension_width(self):
         ga = from_edges(2, [(0, 1, 4.0)])
-        labels = np.asarray([0b0, 0b1], dtype=np.int64)
+        labels = np.asarray([[0b0], [0b1]], dtype=np.uint64)
         assert coco_plus(ga, labels, 1, 0) == 4.0
         assert div_of_labels(ga, labels, 1, 0) == 0.0

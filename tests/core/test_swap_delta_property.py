@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.contraction import make_finest_level
 from repro.core.objective import coco_plus_signed
-from repro.core.swaps import _swap_delta, build_adjacency, kl_swap_pass, sibling_pairs, swap_pass
+from repro.core.kernels import pair_delta
+from repro.core.swaps import kl_swap_pass, sibling_pairs, swap_pass
 from repro.graphs import generators as gen
+from repro.utils.bitops import swap_label_rows
+from repro.utils.segments import build_csr
 
 
 def _signed_objective(g, labels, sign, dim):
@@ -36,14 +39,14 @@ def test_single_swap_delta_matches_bruteforce(seed, n, sign):
     dim = 8
     labels = rng.choice(1 << dim, size=n, replace=False).astype(np.int64)
     lvl = make_finest_level(g.edge_arrays(), labels.copy())
-    indptr, indices, weights = build_adjacency(lvl)
+    indptr, indices, weights = build_csr(lvl.n, lvl.us, lvl.vs, lvl.ws)
     pairs = sibling_pairs(lvl.labels)
     for u, v in pairs[:5]:
         u, v = int(u), int(v)
         before = _signed_objective(g, lvl.labels, sign, dim)
-        predicted = _swap_delta(lvl.labels, indptr, indices, weights, u, v, sign)
+        predicted = pair_delta(lvl.labels, indptr, indices, weights, u, v, sign)
         swapped = lvl.labels.copy()
-        swapped[u], swapped[v] = swapped[v], swapped[u]
+        swap_label_rows(swapped, u, v)
         after = _signed_objective(g, swapped, sign, dim)
         assert np.isclose(after - before, predicted, atol=1e-9)
 

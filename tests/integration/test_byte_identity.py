@@ -1,10 +1,11 @@
 """Fixed-seed byte-identity regression on the paper topologies.
 
-The golden hashes below were computed on the last pre-wide-label commit
-(PR 3) and pin the ``W == 1`` fast path: any representation change that
-perturbs a narrow-label fixed-seed output -- one different swap, one
-reordered RNG draw -- fails here with a hash mismatch.  If you change
-these numbers you are breaking the byte-identity contract; don't.
+The golden hashes below were computed on the last pre-wide-label commit,
+when labels of up to 63 bits were 1-D ``int64`` arrays, and pin one-word
+(``W == 1``) labels: any representation change that perturbs a one-word
+fixed-seed output -- one different swap, one reordered RNG draw -- fails
+here with a hash mismatch.  If you change these numbers you are breaking
+the byte-identity contract; don't.
 """
 
 import hashlib
@@ -70,4 +71,4 @@ class TestNarrowPathByteIdentity:
 
         for topo, _, _ in PAPER_GOLDEN:
             labels = Topology.from_name(topo).labeling.labels
-            assert labels.ndim == 1 and labels.dtype == np.int64
+            assert labels.shape[1] == 1 and labels.dtype == np.uint64

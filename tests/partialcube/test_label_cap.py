@@ -1,9 +1,9 @@
-"""The historical 63-class packed-label cap is gone: wide labels.
+"""The historical 63-class packed-label cap is gone: multi-word labels.
 
 This file used to pin early, explicit errors at the 64-PE fat-tree /
 64-vertex tree limit; those errors no longer exist.  It now pins the
 opposite contract: everything that used to die at the cap labels fine,
-switching to the multi-word representation exactly past 63 classes.
+on one label word up to 64 classes and on more words beyond.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import numpy as np
 import repro.partialcube.djokovic as djk
 from repro.graphs import generators as gen
 from repro.partialcube.verify import verify_labeling
-from repro.utils.bitops import MAX_LABEL_BITS
+from repro.utils.bitops import WORD_BITS
 
 
 class TestFatTreeCapLifted:
@@ -26,27 +26,28 @@ class TestFatTreeCapLifted:
         assert verify_labeling(t, pc.labels)
 
     def test_narrow_fat_tree_still_narrow(self):
-        # 2-ary height 5 = 63 switches = 62 classes <= 63: the packed
-        # int64 fast path, unchanged.
+        # 2-ary height 5 = 63 switches = 62 classes: one label word.
         t = gen.fat_tree(2, 5)
         pc = djk.partial_cube_labeling(t)
         assert pc.dim == t.m == 62
-        assert pc.labels.ndim == 1 and pc.labels.dtype == np.int64
+        assert pc.labels.shape == (63, 1) and pc.labels.dtype == np.uint64
 
 
 class TestPathsAcrossTheBoundary:
     def test_path_at_cap_narrow(self):
-        p = gen.path(MAX_LABEL_BITS + 1)  # 64 vertices, 63 edges
+        p = gen.path(64)  # 63 edges: the old packed-label cap
         pc = djk.partial_cube_labeling(p)
-        assert pc.dim == MAX_LABEL_BITS
-        assert pc.labels.ndim == 1
+        assert pc.dim == 63
+        assert pc.labels.shape == (64, 1)
 
     def test_path_just_beyond_cap_goes_wide(self):
-        p = gen.path(MAX_LABEL_BITS + 2)  # 65 vertices, 64 edges
-        pc = djk.partial_cube_labeling(p)
-        assert pc.dim == MAX_LABEL_BITS + 1
-        assert pc.labels.ndim == 2 and pc.labels.shape[1] == 1
-        assert verify_labeling(p, pc.labels)
+        # 64 classes fill one word (bit 63 set); 65 take a second word.
+        for n, words in ((WORD_BITS + 1, 1), (WORD_BITS + 2, 2)):
+            p = gen.path(n)
+            pc = djk.partial_cube_labeling(p)
+            assert pc.dim == n - 1
+            assert pc.labels.shape == (n, words)
+            assert verify_labeling(p, pc.labels)
 
     def test_raw_classes_agree_with_wide_labels(self):
         t = gen.fat_tree(2, 6)

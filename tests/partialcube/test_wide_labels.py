@@ -73,8 +73,8 @@ class TestFatTree2x7:
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
     def test_narrow_boundary_unchanged(self):
-        # 63-class path: still the packed int64 fast path.
+        # 63 classes: one label word.
         p = gen.path(64)
         pc = partial_cube_labeling(p)
-        assert pc.labels.ndim == 1 and pc.labels.dtype == np.int64
+        assert pc.labels.shape == (64, 1) and pc.labels.dtype == np.uint64
         assert verify_labeling(p, pc.labels)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.bitops import (
-    MAX_LABEL_BITS,
+    as_label_array,
     bit_length_for,
     bits_to_int,
     hamming,
     int_to_bits,
-    mask_of_width,
+    label_to_int,
     permute_bits,
     popcount,
+    popcount_labels,
     unpermute_bits,
+    wide_mask,
 )
 
 
@@ -50,43 +52,44 @@ class TestBitLength:
 
 class TestMask:
     def test_zero_width(self):
-        assert mask_of_width(0) == 0
+        assert wide_mask(0, 1).tolist() == [0]
 
     def test_full(self):
-        assert mask_of_width(3) == 0b111
+        assert wide_mask(3, 1).tolist() == [0b111]
+        assert wide_mask(64, 1).tolist() == [(1 << 64) - 1]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            mask_of_width(-1)
+            wide_mask(-1, 1)
         with pytest.raises(ValueError):
-            mask_of_width(MAX_LABEL_BITS + 1)
+            wide_mask(65, 1)
 
 
 class TestPermuteBits:
     def test_identity(self):
-        labels = np.asarray([0b101, 0b010, 0b111], dtype=np.int64)
+        labels = as_label_array([0b101, 0b010, 0b111])
         perm = np.arange(3)
         assert np.array_equal(permute_bits(labels, perm), labels)
 
     def test_reverse(self):
-        labels = np.asarray([0b001], dtype=np.int64)
+        labels = as_label_array([0b001])
         perm = np.asarray([2, 1, 0])
         # new bit 0 = old bit 2 (=0), new bit 2 = old bit 0 (=1)
-        assert permute_bits(labels, perm).tolist() == [0b100]
+        assert label_to_int(permute_bits(labels, perm), 0) == 0b100
 
     def test_unpermute_inverts(self):
         rng = np.random.default_rng(0)
-        labels = rng.integers(0, 2**20, size=50).astype(np.int64)
+        labels = as_label_array(rng.integers(0, 2**20, size=50))
         perm = rng.permutation(20)
         assert np.array_equal(unpermute_bits(permute_bits(labels, perm), perm), labels)
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0))
     def test_popcount_invariant(self, width, seed):
         rng = np.random.default_rng(seed % 2**32)
-        labels = rng.integers(0, 1 << width, size=10).astype(np.int64)
+        labels = as_label_array(rng.integers(0, 1 << width, size=10))
         perm = rng.permutation(width)
         permuted = permute_bits(labels, perm)
-        assert np.array_equal(popcount(permuted), popcount(labels))
+        assert np.array_equal(popcount_labels(permuted), popcount_labels(labels))
 
 
 class TestBitListConversions:
@@ -102,8 +105,9 @@ class TestBitListConversions:
             bits_to_int([2])
 
     def test_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            int_to_bits(4, 2)
+        for value, width in [(4, 2), (1 << 64, 64), (1 << 63, 63)]:
+            with pytest.raises(ValueError):
+                int_to_bits(value, width)
 
 
 class TestBitwiseCountShim:

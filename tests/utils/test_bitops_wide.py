@@ -1,4 +1,4 @@
-"""Property tests for the wide (multi-word) label helpers.
+"""Property tests for the label helpers at every word count.
 
 Ground truth is Python's arbitrary-precision ints: every helper is
 checked against the equivalent big-int computation via
@@ -10,22 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.utils.bitops import (
-    MAX_LABEL_BITS,
     RADIX_SORT_THRESHOLD,
     argsort_labels,
+    as_label_array,
     get_label_bit,
     hamming_labels,
     int_to_label_row,
     label_lsb,
-    label_mask,
     label_sort_keys,
     label_to_int,
-    narrow_labels,
     pack_bit_matrix,
     pairwise_hamming,
     permute_bits,
     popcount_labels,
-    resize_label_words,
     shift_left_labels,
     shift_right_labels,
     swap_label_rows,
@@ -42,9 +39,26 @@ wide_values = st.lists(
     st.integers(min_value=0, max_value=(1 << 192) - 1), min_size=1, max_size=20
 )
 
+#: Up to four words: covers the one-word ``uint64`` sort key (including
+#: bit 63, i.e. dim 64) and the multi-word ``void`` keys.
+any_width_values = st.lists(
+    st.integers(min_value=0, max_value=(1 << 256) - 1), min_size=1, max_size=20
+)
+
 
 def _as_wide(values, words=3):
     return np.stack([int_to_label_row(v, words) for v in values])
+
+
+def _ints(labels):
+    return [label_to_int(labels, v) for v in range(labels.shape[0])]
+
+
+def _per_word_count(values):
+    """``(W, values cut below 2**(64 W), labels)`` for W = 1 .. 4."""
+    for words in (1, 2, 3, 4):
+        cut = [v & ((1 << (64 * words)) - 1) for v in values]
+        yield words, cut, _as_wide(cut, words)
 
 
 class TestRepresentation:
@@ -55,7 +69,8 @@ class TestRepresentation:
         assert words_for_bits(dim) == words
 
     def test_zeros_labels_picks_representation(self):
-        assert zeros_labels(5, 30).shape == (5,)
+        assert zeros_labels(5, 0).shape == (5, 1)
+        assert zeros_labels(5, 30).shape == (5, 1)
         assert zeros_labels(5, 100).shape == (5, 2)
         assert zeros_labels(5, 100).dtype == np.uint64
 
@@ -63,65 +78,85 @@ class TestRepresentation:
         narrow = np.array([0, 1, 2**62, 5], dtype=np.int64)
         wide = widen_labels(narrow, 3)
         assert wide.shape == (4, 3)
-        assert np.array_equal(narrow_labels(wide), narrow)
+        assert _ints(wide) == narrow.tolist()
+        assert np.array_equal(widen_labels(wide, 1), as_label_array(narrow))
 
     def test_narrow_rejects_high_bits(self):
         wide = _as_wide([1 << 70])
         with pytest.raises(ValueError):
-            narrow_labels(wide)
+            widen_labels(wide, 1)
 
     def test_resize_words(self):
         wide = _as_wide([3, 1 << 100], words=2)
-        assert resize_label_words(wide, 4).shape == (2, 4)
+        assert widen_labels(wide, 4).shape == (2, 4)
+        assert widen_labels(wide, 2) is wide
         with pytest.raises(ValueError):
             widen_labels(wide, 1)  # high bits set
 
+    def test_as_label_array_boundary(self):
+        one_word = as_label_array(np.array([3, 0, (1 << 63) + 1], dtype=np.uint64))
+        assert one_word.shape == (3, 1) and one_word.dtype == np.uint64
+        assert _ints(one_word) == [3, 0, (1 << 63) + 1]
+        wide = _as_wide([1 << 100])
+        assert as_label_array(wide) is wide
+        for bad in (
+            np.array([1, -1]),
+            np.zeros((2, 2), dtype=np.int64),
+            np.zeros((2, 2, 1), dtype=np.uint64),
+            np.array([0.5, 1.0]),
+        ):
+            with pytest.raises(ValueError):
+                as_label_array(bad)
+
 
 class TestBigIntEquivalence:
-    @given(wide_values)
+    """Each example runs at every word count W = 1 .. 4."""
+
+    @given(any_width_values)
     @settings(max_examples=60, deadline=None)
     def test_popcount(self, values):
-        wide = _as_wide(values)
-        expect = [bin(v).count("1") for v in values]
-        assert popcount_labels(wide).tolist() == expect
+        for _, cut, labels in _per_word_count(values):
+            expect = [bin(v).count("1") for v in cut]
+            assert popcount_labels(labels).tolist() == expect
 
-    @given(wide_values, st.integers(min_value=0, max_value=191))
+    @given(any_width_values, st.integers(min_value=0, max_value=255))
     @settings(max_examples=60, deadline=None)
     def test_shifts(self, values, k):
-        wide = _as_wide(values)
-        right = shift_right_labels(wide, k)
-        left = shift_left_labels(wide, k)
-        mask = (1 << 192) - 1
-        for i, v in enumerate(values):
-            assert label_to_int(right, i) == v >> k
-            assert label_to_int(left, i) == (v << k) & mask
+        for words, cut, labels in _per_word_count(values):
+            right = shift_right_labels(labels, k)
+            left = shift_left_labels(labels, k)
+            assert right.shape == left.shape == labels.shape
+            mask = (1 << (64 * words)) - 1
+            for i, v in enumerate(cut):
+                assert label_to_int(right, i) == v >> k
+                assert label_to_int(left, i) == (v << k) & mask
 
-    @given(wide_values, st.integers(min_value=0, max_value=192))
+    @given(any_width_values, st.integers(min_value=0, max_value=256))
     @settings(max_examples=60, deadline=None)
     def test_masks(self, values, width):
-        wide = _as_wide(values)
-        masked = wide & label_mask(width, wide)
-        for i, v in enumerate(values):
-            assert label_to_int(masked, i) == v & ((1 << width) - 1)
+        for words, cut, labels in _per_word_count(values):
+            w = min(width, 64 * words)
+            masked = labels & wide_mask(w, words)
+            for i, v in enumerate(cut):
+                assert label_to_int(masked, i) == v & ((1 << w) - 1)
 
-    @given(wide_values)
+    @given(any_width_values)
     @settings(max_examples=60, deadline=None)
     def test_sort_keys_order_numeric(self, values):
-        wide = _as_wide(values)
-        keys = label_sort_keys(wide)
-        got = np.argsort(keys, kind="stable").tolist()
-        expect = sorted(range(len(values)), key=lambda i: (values[i], i))
-        assert got == expect
+        for _, cut, labels in _per_word_count(values):
+            expect = sorted(range(len(cut)), key=lambda i: (cut[i], i))
+            keys = label_sort_keys(labels)
+            assert np.argsort(keys, kind="stable").tolist() == expect
+            assert argsort_labels(labels).tolist() == expect
 
-    @given(wide_values)
+    @given(any_width_values)
     @settings(max_examples=40, deadline=None)
     def test_unique_labels(self, values):
-        wide = _as_wide(values)
-        uniq, inverse = unique_labels(wide)
-        expect = sorted(set(values))
-        assert [label_to_int(uniq, i) for i in range(uniq.shape[0])] == expect
-        for i, v in enumerate(values):
-            assert label_to_int(uniq, int(inverse[i])) == v
+        for _, cut, labels in _per_word_count(values):
+            uniq, inverse = unique_labels(labels)
+            assert _ints(uniq) == sorted(set(cut))
+            for i, v in enumerate(cut):
+                assert label_to_int(uniq, int(inverse[i])) == v
 
     def test_hamming_and_pairwise(self):
         a = _as_wide([0, (1 << 100) | 3, (1 << 191)])
@@ -162,13 +197,13 @@ class TestPackUnpackPermute:
         assert np.array_equal(unpermute_bits(permuted, perm), labels)
 
     def test_permute_matches_narrow_when_embedded(self):
-        # A narrow labeling widened to 2 words must permute identically.
+        # A one-word labeling padded to 2 words must permute identically.
         rng = np.random.default_rng(7)
-        narrow = rng.integers(0, 1 << 40, size=16, dtype=np.int64)
+        one_word = as_label_array(rng.integers(0, 1 << 40, size=16, dtype=np.int64))
         perm = rng.permutation(40)
-        wide = widen_labels(narrow, 2)
+        wide = widen_labels(one_word, 2)
         assert np.array_equal(
-            narrow_labels(permute_bits(wide, perm)), permute_bits(narrow, perm)
+            widen_labels(permute_bits(wide, perm), 1), permute_bits(one_word, perm)
         )
 
 
@@ -179,15 +214,15 @@ class TestRowOps:
         assert label_to_int(a, 0) == 1 << 100 and label_to_int(a, 2) == 5
 
     def test_swap_label_rows_narrow(self):
-        a = np.array([1, 2, 3], dtype=np.int64)
+        a = as_label_array([1, 2, 3])
         swap_label_rows(a, 0, 1)
-        assert a.tolist() == [2, 1, 3]
+        assert _ints(a) == [2, 1, 3]
 
     def test_wide_mask_boundaries(self):
         assert label_to_int(wide_mask(64, 2)[None, :], 0) == (1 << 64) - 1
         assert label_to_int(wide_mask(128, 2)[None, :], 0) == (1 << 128) - 1
         assert label_to_int(wide_mask(0, 2)[None, :], 0) == 0
-        assert MAX_LABEL_BITS == 63
+        assert label_to_int(wide_mask(64, 1)[None, :], 0) == (1 << 64) - 1
 
 
 class TestArgsortLabels:
