@@ -1,6 +1,6 @@
-"""Serving benchmarks: batching, cache replay, sharding, tracing cost.
+"""Serving benchmarks: batching, cache replay, tracing cost.
 
-Four gated measurements against the real HTTP service, all fired with
+Three gated measurements against the real HTTP service, all fired with
 deterministic open-loop load profiles (mixed topologies from the
 ``smoke`` scenario, exponential arrivals):
 
@@ -15,19 +15,7 @@ deterministic open-loop load profiles (mixed topologies from the
    run-identity response cache across batching windows -- full fidelity,
    zero recompute (the JSON records the replay pass's batch count and
    ``labelings_computed``).  Gate: replay ``hit_rate >= 0.5``.
-3. **Shard scaling** -- a 2-shard cluster vs. a 1-shard cluster (real
-   worker processes, consistent-hash front end) on identical traffic
-   spread uniformly over the two ``shard-scale`` topologies, with each
-   worker's session *and pipeline* LRUs limited to 1 and both disk and
-   response caches off.  Rendezvous routing splits the pair 1 + 1, and
-   the shard1-routed ``dragonfly16x6`` (1024 PEs) carries expensive
-   precomputation.  One worker cannot hold both topologies and swaps on
-   every topology switch (~half the requests), re-paying labelings and
-   distance matrices each time; two workers each own their routed
-   topology and stay warm forever -- locality, not core count, is the
-   win, so the gate holds on a single-core runner.
-   Gate: ``scaling >= 1.6``.
-4. **Cost of tracing** -- the same server and traffic with end-to-end
+3. **Cost of tracing** -- the same server and traffic with end-to-end
    tracing on vs. off (response cache disabled on both sides so every
    request walks the instrumented path).  Gate: traced/untraced
    throughput ratio ``>= 0.98`` -- tracing may cost at most 2%.
@@ -43,53 +31,19 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import platform
 import sys
 from pathlib import Path
 
-from repro.api.registry import REGISTRY, SCENARIO
-from repro.api.topology import LABELING_CACHE_ENV
-from repro.experiments.matrix import Scenario
-from repro.experiments.runner import ExperimentConfig
 from repro.serve.loadgen import LoadProfile, http_request_json, run_load
 from repro.serve.service import ServeSettings, ServerThread
-from repro.serve.shard import FrontendThread, ShardCluster
 
 OUTPUT = Path(__file__).parent / "BENCH_serve.json"
-
-# Bench-local scenario for the shard-scaling section, registered at
-# import scope (REG001).  Rendezvous over {shard0, shard1} splits the
-# topology pair 1 + 1: fattree2x6 -> shard0, dragonfly16x6 -> shard1.
-# dragonfly16x6's 1024-PE labeling + distance matrix is the expensive
-# precomputation one thrashing worker keeps re-paying; the tiny
-# application graphs keep the warm per-request cost low so that
-# eviction surplus dominates the measured ratio.
-REGISTRY.register(
-    SCENARIO,
-    "shard-scale",
-    Scenario(
-        "shard-scale",
-        ExperimentConfig(
-            instances=("p2p-Gnutella",),
-            topologies=("fattree2x6", "dragonfly16x6"),
-            cases=("c2",),
-            repetitions=1,
-            n_hierarchies=0,
-            divisor=1024,
-            n_min=48,
-            n_max=64,
-        ),
-        "session-locality workload for the shard-scaling gate",
-    ),
-)
 
 #: enforced batched/unbatched throughput ratio
 SPEEDUP_FLOOR = 2.0
 #: enforced response-cache hit rate on the replayed pass
 CACHE_HIT_FLOOR = 0.5
-#: enforced 2-shard / 1-shard throughput ratio on the thrash profile
-SHARD_SCALING_FLOOR = 1.6
 #: enforced traced/untraced throughput ratio (tracing costs <= 2%)
 TRACING_RATIO_FLOOR = 0.98
 
@@ -237,79 +191,7 @@ def run_response_cache(profile: LoadProfile) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Section 3: 2-shard vs. 1-shard scaling (session-locality workload)
-# ----------------------------------------------------------------------
-def _measure_cluster(profile: LoadProfile, shards: int, label: str) -> dict:
-    # Workers sized so one process cannot hold both shard-scale
-    # topologies: session LRU of 1 AND pipeline LRU of 1 (pipelines pin
-    # their topology session, so both bounds are needed to actually
-    # evict a labeling), no disk tier, no response cache.  The 1-shard
-    # cluster re-pays labelings + distance matrices on every topology
-    # switch (~half the requests); the 2-shard cluster's rendezvous
-    # split (1 + 1) fits each worker exactly.  Batching is disabled
-    # inside the workers (identically for both cluster sizes) so
-    # coalescing cannot amortize the eviction cost this section
-    # isolates -- section 1 measures batching.
-    settings = ServeSettings(
-        port=0, window_ms=0.0, max_batch=1, max_queue=4096,
-        max_sessions=1, max_pipelines=1, response_cache=0,
-    )
-    # The disk tier would absorb exactly the recompute this section
-    # measures; forked workers inherit the environment, so clear it for
-    # the cluster's lifetime.
-    saved_disk = os.environ.pop(LABELING_CACHE_ENV, None)
-    try:
-        with ShardCluster(settings, shards) as cluster:
-            with FrontendThread(cluster.backends) as front:
-                report, metrics = asyncio.run(
-                    _fire(profile, front.host, front.port, label)
-                )
-    finally:
-        if saved_disk is not None:
-            os.environ[LABELING_CACHE_ENV] = saved_disk
-    return {
-        "shards": shards,
-        "settings": {
-            "window_ms": settings.window_ms,
-            "max_batch": settings.max_batch,
-            "max_sessions": settings.max_sessions,
-            "max_pipelines": settings.max_pipelines,
-            "response_cache": settings.response_cache,
-        },
-        "report": report.to_json(),
-        "server": _server_stats(metrics),
-        "frontend": metrics.get("frontend", {}),
-    }
-
-
-def run_sharding(profile: LoadProfile) -> dict:
-    # hot = the catalog's first entry (fattree2x6) at fraction 0.5: with
-    # a 2-entry catalog that is *exactly* uniform traffic, and it keeps
-    # both pools non-degenerate.  nh=0 minimizes warm per-request work
-    # so the session-eviction surplus dominates.
-    shard_profile = _derive(
-        profile,
-        scenario="shard-scale",
-        nh=0,
-        seed_pool=1,
-        hot_keys=1,
-        hot_fraction=0.5,
-    )
-    one = _measure_cluster(shard_profile, 1, "one-shard")
-    two = _measure_cluster(shard_profile, 2, "two-shards")
-    scaling = (
-        two["report"]["throughput_rps"] / one["report"]["throughput_rps"]
-    )
-    return {
-        "one_shard": one,
-        "two_shards": two,
-        "scaling": scaling,
-        "floor": SHARD_SCALING_FLOOR,
-    }
-
-
-# ----------------------------------------------------------------------
-# Section 4: cost of tracing (traced vs. untraced, identical traffic)
+# Section 3: cost of tracing (traced vs. untraced, identical traffic)
 # ----------------------------------------------------------------------
 def run_tracing_overhead(profile: LoadProfile) -> dict:
     # Span bookkeeping is a few dict writes and one sha256 per request
@@ -346,8 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rate", type=float, default=300.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--nh", type=int, default=1)
-    ap.add_argument("--shard-requests", type=int, default=96,
-                    help="requests per cluster in the shard-scaling run")
     ap.add_argument(
         "--floor-scale",
         type=float,
@@ -368,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     batching = run_batching(profile)
     response_cache = run_response_cache(profile)
-    sharding = run_sharding(
-        _derive(profile, requests=args.shard_requests, rate=150.0)
-    )
     tracing = run_tracing_overhead(profile)
     payload = {
         "meta": {
@@ -386,7 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         # consumers read "speedup"/"floor" here as before
         **batching,
         "response_cache": response_cache,
-        "sharding": sharding,
         "tracing": tracing,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -406,12 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{response_cache['replay']['report']['cached']} cached replies, "
         f"{response_cache['replay_speedup']:.2f}x replay speedup)"
     )
-    for key in ("one_shard", "two_shards"):
-        rep = sharding[key]["report"]
-        print(
-            f"{key:10s} {rep['throughput_rps']:7.1f} rps   "
-            f"sessions evicted {sharding[key]['server']['sessions_evictions']}"
-        )
     print(
         f"tracing    {tracing['traced']['report']['throughput_rps']:7.1f} rps"
         f" traced vs "
@@ -422,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     gates = [
         ("speedup", payload["speedup"], SPEEDUP_FLOOR),
         ("cache_hit_rate", response_cache["hit_rate"], CACHE_HIT_FLOOR),
-        ("shard_scaling", sharding["scaling"], SHARD_SCALING_FLOOR),
         ("tracing_ratio", tracing["throughput_ratio"], TRACING_RATIO_FLOOR),
     ]
     failed = []

@@ -38,8 +38,8 @@ OBS001    operational output in ``serve/`` and the experiment runner
           goes through :mod:`repro.obs.log` (JSON-lines events with a
           stable taxonomy), never ad-hoc ``print()`` or bare
           ``sys.stderr.write`` -- unstructured lines are invisible to
-          log tooling and interleave corruptly across the shard /
-          pool processes sharing one stderr.
+          log tooling and interleave corruptly across the server
+          and pool processes sharing one stderr.
 ========  ==========================================================
 
 Suppress a *deliberate* violation inline with

@@ -196,19 +196,10 @@ def cmd_serve(args) -> int:
             backend=args.backend,
             response_cache=args.response_cache,
             response_cache_bytes=args.response_cache_mb * 1024 * 1024,
-            shards=args.shards,
             trace=not args.no_trace,
             trace_buffer=args.trace_buffer,
             profile=args.profile,
         )
-    if settings.shards > 0:
-        if settings.stdio:
-            print("repro serve: --shards requires HTTP (drop --stdio)",
-                  file=sys.stderr)
-            return 2
-        from repro.serve.shard import run_sharded_server
-
-        return run_sharded_server(settings)
     return run_server(settings)
 
 
@@ -341,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON-lines over stdin/stdout instead of HTTP")
     q.add_argument("--workers", type=int, default=0,
                    help="supervised worker processes (0 = compute "
-                   "in-process; >0 survives worker crashes)")
+                   "in-process; >0 survives worker crashes and pins each "
+                   "topology to one worker)")
     q.add_argument("--retry-attempts", type=int, default=3,
                    help="total tries per request on transient failures")
     q.add_argument("--retry-base-ms", type=float, default=50.0,
@@ -362,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--response-cache-mb", type=int, default=64,
                    help="byte budget of the response cache in MiB "
                    "(0 disables it)")
-    q.add_argument("--shards", type=int, default=0,
-                   help="serve through a consistent-hash front end over "
-                   "this many backend worker processes (0 = single "
-                   "process); topologies pin to shards, keeping each "
-                   "shard's session and response caches hot")
     q.add_argument("--no-trace", action="store_true",
                    help="disable end-to-end tracing (deterministic span "
                    "trees in /debug/traces; on by default, <2%% cost)")

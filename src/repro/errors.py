@@ -65,15 +65,6 @@ class PermanentError(ReproError):
     """
 
 
-class WorkerCrashError(TransientError):
-    """A pool worker died (crash/OOM/kill) while running a task.
-
-    Transient because the supervisor restarts the worker and requeues
-    the work; it only surfaces to callers when the retry budget is
-    spent without isolating a poison item.
-    """
-
-
 class PoisonRequestError(PermanentError):
     """One isolated work item repeatedly crashed its worker.
 

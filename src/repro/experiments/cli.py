@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(paper, widened, smoke)")
     p.add_argument("--jobs", "-j", type=int, default=1,
                    help="worker processes (results are identical for any value)")
-    p.add_argument("--dispatch", choices=("pool", "shards"), default="pool",
-                   help="multi-process dispatch: 'pool' sends whole "
-                        "(instance, rep) tasks to any free worker; 'shards' "
-                        "splits tasks per topology and pins each split to "
-                        "its consistent-hash worker (warm sessions, same "
-                        "bytes)")
     p.add_argument("--store", type=str, default=None,
                    help="artifact-store directory; every completed cell is "
                         "persisted there as one JSON file")
@@ -161,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         result = run_experiment(
             config, jobs=args.jobs, store=args.store, resume=args.resume,
-            dispatch=args.dispatch,
         )
         if args.artifact in ("table2", "all"):
             chunks.append(render_table2(result))

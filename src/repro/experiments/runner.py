@@ -25,9 +25,10 @@ and adding repetitions never reshuffles earlier ones.
 The unit of parallel work is one ``(instance, repetition)`` *task* --
 large enough to amortize instance generation and to preserve the paper's
 partition sharing across the task's topologies and cases, small enough
-that a laptop sweep saturates a handful of workers.  Tasks go to a
-``multiprocessing`` pool (fork on Linux, spawn elsewhere; the choice
-cannot affect results); results come back in submission order.
+that a laptop sweep saturates a handful of workers.  Tasks go to the
+crash-supervised :class:`~repro.serve.pool.SupervisedPool` (fork on
+Linux, spawn elsewhere; the choice cannot affect results); results come
+back in submission order.
 
 With an :class:`~repro.experiments.store.ArtifactStore` attached, every
 completed cell is persisted as one JSON record and ``resume=True`` skips
@@ -305,7 +306,7 @@ def _sweep_runner(_ctx: object, task: _Task) -> list:
     return _run_task(task)
 
 
-def _execute(tasks: list, jobs: int, dispatch: str = "pool") -> tuple[list, int]:
+def _execute(tasks: list, jobs: int) -> tuple[list, int]:
     """Run tasks inline or on a supervised pool; outputs in task order.
 
     Returns ``(outputs, worker_restarts)`` where ``outputs[i]`` is the
@@ -315,30 +316,16 @@ def _execute(tasks: list, jobs: int, dispatch: str = "pool") -> tuple[list, int]
     task is requeued onto a restarted worker, so ``--resume`` semantics
     stay exact (every record that *could* be computed is).
 
-    ``dispatch="shards"`` additionally splits each task per *topology*
-    and pins every split to the worker the serve tier's
-    :class:`~repro.serve.shard.ShardRouter` owns that topology on, so a
-    sweep warms exactly one session (labeling + distances) per topology
-    per worker -- the same locality the sharded service exploits.  Byte
-    identity is unaffected: every seed derives from a cell identity
-    (instance seeds from ``(seed, "instance", ...)``, partition seeds
-    from ``(seed, "partition", ..., k)``), never from which process or
-    in which grouping a cell ran.
-
-    Determinism never depends on the start method -- so the pool uses
-    the shared policy of
-    :func:`repro.utils.parallel.preferred_mp_context` (fork on Linux so
-    workers share the parent's imports and topology-labeling cache,
-    spawn elsewhere).
+    Byte identity never depends on which worker ran a task: every seed
+    derives from a cell identity (instance seeds from
+    ``(seed, "instance", ...)``, partition seeds from
+    ``(seed, "partition", ..., k)``).  Nor does it depend on the start
+    method, which :func:`repro.serve.pool.preferred_mp_context` picks
+    (fork on Linux so workers share the parent's imports and
+    topology-labeling cache, spawn elsewhere).
     """
-    if dispatch not in ("pool", "shards"):
-        raise ConfigurationError(
-            f"dispatch must be 'pool' or 'shards', got {dispatch!r}"
-        )
-    if jobs <= 1 or not tasks or (dispatch == "pool" and len(tasks) <= 1):
+    if jobs <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks], 0
-    if dispatch == "shards":
-        return _execute_sharded(tasks, jobs)
     from repro.serve.pool import SupervisedPool
 
     with SupervisedPool(
@@ -358,61 +345,11 @@ def _execute(tasks: list, jobs: int, dispatch: str = "pool") -> tuple[list, int]
     return outputs, restarts
 
 
-def _execute_sharded(tasks: list, jobs: int) -> tuple[list, int]:
-    """Topology-pinned fan-out: every (task, topology) split runs on the
-    worker that consistent-hash-owns the topology.
-
-    Outputs are reassembled into the original per-task cell order, so
-    callers cannot tell the dispatch modes apart (asserted byte-for-byte
-    in the tests); a failed split fails its whole original task, exactly
-    like a poisoned task under ``dispatch="pool"``.
-    """
-    from repro.serve.pool import SupervisedPool
-    from repro.serve.shard import ShardRouter
-
-    router = ShardRouter([str(i) for i in range(jobs)])
-    splits: list[tuple[int, list[int], _Task, int]] = []
-    for ti, task in enumerate(tasks):
-        groups: dict[str, list[int]] = {}
-        for ci, (topo_name, _case) in enumerate(task.cells):
-            groups.setdefault(topo_name, []).append(ci)
-        for topo_name, idxs in groups.items():
-            sub = _Task(
-                task.config,
-                task.instance,
-                task.rep,
-                tuple(task.cells[i] for i in idxs),
-            )
-            splits.append((ti, idxs, sub, int(router.route(topo_name))))
-    with SupervisedPool(_sweep_runner, workers=int(jobs), name="sweep") as pool:
-        futures = [
-            pool.submit("sweep", None, [sub], worker=pin)[0]
-            for _ti, _idxs, sub, pin in splits
-        ]
-        rows: list[list] = [[None] * len(t.cells) for t in tasks]
-        errors: list[Exception | None] = [None] * len(tasks)
-        for (ti, idxs, _sub, _pin), future in zip(splits, futures):
-            try:
-                records = future.result()
-            except Exception as exc:  # gather, don't fail fast
-                errors[ti] = exc
-                continue
-            for ci, record in zip(idxs, records):
-                rows[ti][ci] = record
-        restarts = pool.restarts
-    outputs = [
-        errors[ti] if errors[ti] is not None else rows[ti]
-        for ti in range(len(tasks))
-    ]
-    return outputs, restarts
-
-
 def run_experiment(
     config: ExperimentConfig,
     jobs: int = 1,
     store: ArtifactStore | str | Path | None = None,
     resume: bool = False,
-    dispatch: str = "pool",
 ) -> ExperimentResult:
     """Execute the sweep described by ``config``.
 
@@ -427,11 +364,6 @@ def run_experiment(
     resume:
         reuse store records whose identity matches instead of
         recomputing (requires ``store``).
-    dispatch:
-        ``"pool"`` (default) sends whole (instance, repetition) tasks to
-        any free worker; ``"shards"`` splits tasks per topology and pins
-        the splits to consistent-hash-owned workers (see
-        :func:`_execute`).  Both modes are byte-identical to ``jobs=1``.
     """
     _validate_config(config)
     if resume and store is None:
@@ -449,7 +381,7 @@ def run_experiment(
         os.environ[LABELING_CACHE_ENV] = str(store.root / "labelings")
         cache_env_added = True
     try:
-        return _run_experiment(config, jobs, store, resume, dispatch)
+        return _run_experiment(config, jobs, store, resume)
     finally:
         if cache_env_added:
             os.environ.pop(LABELING_CACHE_ENV, None)
@@ -460,7 +392,6 @@ def _run_experiment(
     jobs: int,
     store: ArtifactStore | None,
     resume: bool,
-    dispatch: str = "pool",
 ) -> ExperimentResult:
     instances = config.resolved_instances()
     reps = range(config.repetitions)
@@ -484,7 +415,7 @@ def _run_experiment(
 
     fresh: dict[tuple, dict] = {}
     failed: list[tuple[str, int, Exception]] = []
-    task_outputs, worker_restarts = _execute(tasks, jobs, dispatch)
+    task_outputs, worker_restarts = _execute(tasks, jobs)
     for task, outputs in zip(tasks, task_outputs):
         if isinstance(outputs, Exception):
             failed.append((task.instance, task.rep, outputs))

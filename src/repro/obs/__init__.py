@@ -1,8 +1,8 @@
 """Observability: end-to-end tracing, structured logging, profiling.
 
-``repro.obs`` is the stdlib-only window into the serve tier's four
-process layers (shard front end -> shard worker -> scheduler -> pool
-worker -> pipeline stages) and into offline sweeps:
+``repro.obs`` is the stdlib-only window into the serve tier's layers
+(service -> scheduler in the serving process -> pool worker -> pipeline
+stages) and into offline sweeps:
 
 - :mod:`repro.obs.trace` -- spans with *deterministic* ids derived from
   the request's run identity, monotonic-clock durations, a bounded
@@ -30,7 +30,6 @@ from repro.obs.trace import (
     configure_tracer,
     derive_trace_id,
     get_tracer,
-    merge_debug_snapshots,
     tree_signature,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "derive_trace_id",
     "get_logger",
     "get_tracer",
-    "merge_debug_snapshots",
     "profile_call",
     "set_process_fields",
     "tree_signature",

@@ -3,11 +3,11 @@
 One event per line on stderr (or any stream), every line a flat JSON
 object with a fixed envelope::
 
-    {"ts": <unix seconds>, "level": "info", "component": "serve.shard",
-     "event": "shard_listening", ...event fields...}
+    {"ts": <unix seconds>, "level": "info", "component": "serve",
+     "event": "serve_listening", ...event fields...}
 
 plus whatever process-wide fields were bound with
-:func:`set_process_fields` (``shard_id``, ``worker_generation``, ...)
+:func:`set_process_fields` (``worker_generation``, ...)
 and per-logger fields bound with :meth:`EventLogger.bind`.  ``trace_id``
 rides as an ordinary field, linking log lines to span trees.
 
@@ -104,8 +104,8 @@ _loggers: dict[str, EventLogger] = {}
 
 
 def set_process_fields(**fields: object) -> None:
-    """Bind fields onto every logger in this process (shard id, worker
-    generation, ...).  A value of ``None`` removes the field."""
+    """Bind fields onto every logger in this process (worker generation,
+    ...).  A value of ``None`` removes the field."""
     with _fields_lock:
         for key, value in fields.items():
             if value is None:

@@ -24,10 +24,10 @@ tracing stays legal inside the determinism-linted trees (DET002) and
 span *structure* stays reproducible while durations honestly vary.
 
 Contexts cross process boundaries as plain dicts
-(:meth:`SpanContext.to_wire`): the shard front end stamps one into the
-forwarded request payload, the scheduler threads one through the pool's
-pipe items, and workers ship their finished spans back alongside
-results so every process's buffer can be merged into one tree.
+(:meth:`SpanContext.to_wire`): a client may stamp one into a request
+payload, the scheduler threads one through the pool's pipe items, and
+pool workers ship their finished spans back alongside results, so the
+serving process's buffer holds every request's whole tree.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class TraceBuffer:
                 self.evicted_traces += 1
 
     def ingest(self, spans: list[dict]) -> None:
-        """Merge spans finished in another process (pool/shard workers)."""
+        """Merge spans finished in another process (pool workers)."""
         for span in spans:
             if isinstance(span, dict):
                 self.add(span)
@@ -318,7 +318,7 @@ class Tracer:
     """Per-process span factory bound to one :class:`TraceBuffer`.
 
     ``process`` tags every span with the process's role in the request
-    path (``frontend`` / ``shard`` / ``pool`` / ``runner`` / ...) --
+    path (``serve`` / ``pool`` / ``runner`` / ...) --
     a deterministic label, unlike a pid.
     """
 
@@ -408,8 +408,8 @@ def _roots(spans: list[dict]) -> list[dict]:
 def build_tree(spans: list[dict]) -> list[dict]:
     """Nest spans by parent link; returns the list of root nodes.
 
-    Spans whose parent is absent from ``spans`` (e.g. the parent half
-    of the trace lives in a process not yet merged) surface as roots,
+    Spans whose parent is absent from ``spans`` (e.g. a client-stamped
+    parent that lives in the client's process) surface as roots,
     so a partial trace still renders instead of vanishing.  Children
     sort by (name, span_id) -- a deterministic order that does not
     depend on cross-process clock alignment.
@@ -457,55 +457,6 @@ def tree_signature(spans: list[dict]) -> bytes:
 
     forest = [strip(root) for root in build_tree(spans)]
     return _canonical_json(forest)
-
-
-def merge_debug_snapshots(
-    snapshots: list[dict], recent: int = 20, slowest: int = 5
-) -> dict:
-    """Merge per-process ``/debug/traces`` bodies into one.
-
-    The shard front end aggregates its own snapshot with every shard's
-    (exactly as ``/metrics`` is aggregated): spans for the same trace
-    id are unioned across processes (deduplicated by span id, so a
-    span appearing in both a snapshot's ``recent`` and ``slowest``
-    lists counts once) and the trees rebuilt, which is what stitches a
-    frontend-rooted trace to the shard/pool halves living in other
-    buffers.
-    """
-    spans_by_trace: OrderedDict[str, dict[str, dict]] = OrderedDict()
-    buffers = []
-    for snap in snapshots:
-        if not isinstance(snap, dict):
-            continue
-        if isinstance(snap.get("buffer"), dict):
-            buffers.append(snap["buffer"])
-        for section in ("recent", "slowest"):
-            for entry in snap.get(section, ()):
-                if not isinstance(entry, dict):
-                    continue
-                trace_id = entry.get("trace_id", "")
-                merged = spans_by_trace.setdefault(trace_id, {})
-                for span in entry.get("spans", ()):
-                    sid = span.get("span_id")
-                    if sid and sid not in merged:
-                        merged[sid] = span
-    entries = [
-        _trace_entry(trace_id, list(spans.values()))
-        for trace_id, spans in spans_by_trace.items()
-    ]
-    by_duration = sorted(entries, key=lambda e: e["duration"], reverse=True)
-    return {
-        "process": "aggregate",
-        "buffer": {
-            "traces": sum(b.get("traces", 0) for b in buffers),
-            "spans": sum(b.get("spans", 0) for b in buffers),
-            "dropped_spans": sum(b.get("dropped_spans", 0) for b in buffers),
-            "evicted_traces": sum(b.get("evicted_traces", 0) for b in buffers),
-            "sources": len(buffers),
-        },
-        "recent": entries[: max(0, int(recent))],
-        "slowest": by_duration[: max(0, int(slowest))],
-    }
 
 
 # -- process-global tracer --------------------------------------------

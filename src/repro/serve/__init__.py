@@ -10,9 +10,11 @@ Layers (bottom up):
 - :mod:`repro.serve.faults` -- deterministic fault-injection plans
   (worker kills, injected stage errors, latency spikes) driven by
   ``REPRO_FAULTS`` / ``--faults``;
-- :mod:`repro.serve.pool` -- the supervised worker pool: crash
-  detection via process sentinels, worker restart, requeue of lost
-  batches, and bisection to isolate poison requests;
+- :mod:`repro.serve.pool` -- the supervised worker pool, the one way
+  work fans out to processes: crash detection via process sentinels,
+  worker restart, requeue of lost batches, bisection to isolate poison
+  requests, and the rendezvous pin that keeps each topology on one
+  worker;
 - :mod:`repro.serve.retry` -- bounded retries with exponential backoff
   and deterministic jitter, plus per-group circuit breakers;
 - :mod:`repro.serve.scheduler` -- micro-batching with request

@@ -25,9 +25,12 @@ session's labeling is re-read from disk on the next request instead of
 being recomputed -- eviction costs one ``np.load``, not an
 ``O(|Ep|^2)`` recognition.  :class:`TopologyCache` can point the
 environment variable at a directory for the lifetime of the service.
-In a sharded deployment the disk tier is the only cross-worker state:
-response and session LRUs are per process, kept hot by consistent-hash
-routing (see :mod:`repro.serve.shard`).
+All tiers live in the serving process; ``--workers`` pool processes
+receive warmed pipelines from it, so adding workers adds compute, not
+session capacity (``--max-sessions`` is the capacity setting).
+
+Served topologies are registered names only: :meth:`TopologyCache.get`
+never opens a path a client supplies.
 
 Hit/miss/eviction counters for all tiers surface in ``/metrics``
 through :meth:`TopologyCache.stats` and :meth:`ResponseCache.stats`.
@@ -39,7 +42,6 @@ import os
 import pickle
 from pathlib import Path
 
-from repro.api.registry import REGISTRY, TOPOLOGY
 from repro.api.topology import (
     LABELING_CACHE_ENV,
     Topology,
@@ -166,16 +168,15 @@ class TopologyCache:
             os.environ[LABELING_CACHE_ENV] = str(disk_dir)
         self._base = labeling_stats()
 
-    def get(self, spec: str) -> Topology:
-        """Resolve a topology spec through the shared caches.
+    def get(self, name: str) -> Topology:
+        """Resolve a registered topology name through the shared caches.
 
-        Registered names go through :meth:`Topology.from_name` (tier 1
-        counted, tier 2 behind it); file paths resolve per call and are
-        deliberately not cached -- a mutable file must be re-read.
+        Goes through :meth:`Topology.from_name` (tier 1 counted, tier 2
+        behind it).  Anything else -- a file path included -- raises the
+        unknown-topology error listing the registered names, so a client
+        can never make the server read a file.
         """
-        if (TOPOLOGY, str(spec)) in REGISTRY:
-            return Topology.from_name(str(spec))
-        return Topology.from_spec(spec)
+        return Topology.from_name(str(name))
 
     def warm(self, names: "list[str] | tuple[str, ...]") -> None:
         """Precompute labelings for topologies the service will serve."""

@@ -137,11 +137,6 @@ class FaultClock:
 _CLOCK = FaultClock()
 
 
-def process_clock() -> FaultClock:
-    """This process's shared fault counters (one per process, by design)."""
-    return _CLOCK
-
-
 def on_task(
     plan: FaultPlan,
     clock: FaultClock | None = None,

@@ -60,8 +60,7 @@ class Gauge:
 
     Labeled children track the last value set per label (e.g. the
     latest cut-edge count per topology), mirroring :class:`Counter`'s
-    single-label children so the renderers and the shard front end's
-    numeric merge treat both shapes uniformly.
+    single-label children so the renderers treat both shapes uniformly.
     """
 
     def __init__(self, name: str, help: str = "") -> None:
@@ -227,7 +226,7 @@ class MetricsRegistry:
             else:
                 # Counters and gauges share the labeled shape: a bare
                 # number when unlabeled, {"total": ..., label: ...}
-                # when split -- one schema for the shard merge to sum.
+                # when split.
                 out[name] = (
                     {"total": metric.value, **metric.labels()}
                     if metric.labels()

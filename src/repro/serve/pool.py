@@ -19,10 +19,17 @@ injected chaos fault) does not poison the pool or lose work:
 Payloads (e.g. a pipeline) are content-addressed by ``payload_key`` and
 shipped to each worker at most once; workers unpickle each payload on
 first use and keep it, so repeated batches for the same group reuse
-warm caches.  Per-item *exceptions* raised by ``runner`` are not
-crashes -- they travel back on the result channel and fail only their
-own future, which is what lets the serve layer's retry policy treat
-injected :class:`TransientError` faults differently from worker deaths.
+warm caches.  The parent holds a payload only while a queued or running
+task refers to its key, and :meth:`SupervisedPool.forget` makes every
+worker drop a key, so an owner with a bounded key space (the serve
+scheduler's pipeline LRU) bounds the pool too.  :func:`pinned_worker`
+maps a key to one worker index by rendezvous hashing, so a caller can
+keep each key's payload on a single worker.
+
+Per-item *exceptions* raised by ``runner`` are not crashes -- they
+travel back on the result channel and fail only their own future,
+which is what lets the serve layer's retry policy treat injected
+:class:`TransientError` faults differently from worker deaths.
 A task whose payload or items cannot be pickled fails with
 :class:`~repro.errors.PermanentError`; the supervisor keeps serving
 every other task.
@@ -34,9 +41,12 @@ circuit breaking live one layer up (:mod:`repro.serve.retry`).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import multiprocessing as mp
 import os
 import pickle
+import sys
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -50,7 +60,40 @@ from repro.errors import (
 )
 from repro.obs import get_logger, set_process_fields
 from repro.serve.faults import FaultClock, FaultPlan, on_item, on_task
-from repro.utils.parallel import preferred_mp_context
+
+
+def preferred_mp_context() -> mp.context.BaseContext:
+    """``fork`` on Linux, ``spawn`` everywhere else.
+
+    Every work unit is identity-seeded, so determinism never depends on
+    the start method; the choice is about cost and robustness.  Fork
+    makes workers inherit the parent's imports and warmed caches
+    (topology labelings, distance matrices) for free, and works when the
+    parent has no importable ``__main__`` (REPL, stdin).  Everywhere
+    else -- macOS forks crash under Accelerate/ObjC, which is why
+    CPython's own default moved -- fall back to ``spawn``.
+    """
+    use_fork = sys.platform.startswith("linux") and (
+        "fork" in mp.get_all_start_methods()
+    )
+    return mp.get_context("fork" if use_fork else "spawn")
+
+
+def pinned_worker(key: str, workers: int) -> int:
+    """The worker index ``key`` is pinned to in a pool of ``workers``.
+
+    Rendezvous (highest-random-weight) hashing: worker ``i`` weighs
+    ``key`` by the first 8 bytes of ``sha256(f"{i}|{key}")`` and the
+    heaviest worker wins (ties broken by ``str(i)``).  A pure function
+    of ``(key, workers)``, identical in every process, so each key's
+    payload stays warm on one worker.
+    """
+
+    def weight(i: int) -> tuple[int, str]:
+        digest = hashlib.sha256(f"{i}|{key}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big"), str(i)
+
+    return max(range(workers), key=weight)
 
 
 def _sendable(exc: BaseException) -> Exception:
@@ -73,11 +116,11 @@ def _worker_main(conn, parent_conn, runner, generation: int) -> None:
 
     A worker keeps payloads as the pickled bytes the parent sent and
     their unpickled contexts keyed by ``payload_key``; re-sending a key
-    replaces both.  Unpickling happens inside the task's ``try``, so a
-    payload that cannot be rebuilt here fails its task's items instead
-    of killing the worker.  Fault hooks run *inside* the worker so an
-    injected kill takes down a real process and exercises the
-    supervisor's actual recovery path.
+    replaces both, and a ``forget`` message drops both.  Unpickling
+    happens inside the task's ``try``, so a payload that cannot be
+    rebuilt here fails its task's items instead of killing the worker.
+    Fault hooks run *inside* the worker so an injected kill takes down
+    a real process and exercises the supervisor's actual recovery path.
     """
     parent_conn.close()
     set_process_fields(worker_generation=generation)
@@ -97,6 +140,10 @@ def _worker_main(conn, parent_conn, runner, generation: int) -> None:
             _, key, blob = msg
             blobs[key] = blob
             contexts.pop(key, None)
+            continue
+        if kind == "forget":
+            blobs.pop(msg[1], None)
+            contexts.pop(msg[1], None)
             continue
         _, task_id, key, items = msg
         results: list[tuple[str, object]] = []
@@ -182,7 +229,10 @@ class SupervisedPool:
         self._name = name
         self._lock = threading.Lock()
         self._pending: deque[_Task] = deque()
+        #: payloads of queued or running tasks, by key
         self._payloads: dict[str, object] = {}
+        #: keys every worker must drop (see :meth:`forget`)
+        self._forgotten: set[str] = set()
         self._task_ids = itertools.count()
         self._worker_ids = itertools.count()
         self._running = True
@@ -204,9 +254,10 @@ class SupervisedPool:
     ) -> list[Future]:
         """Queue one task; returns a future per item (in item order).
 
-        ``worker`` pins the task to one worker index (cache affinity:
-        e.g. consistent-hash routing of topologies so each worker's
-        session cache stays hot); ``None`` lets any idle worker take it.
+        ``worker`` pins the task to one worker index (cache affinity,
+        e.g. :func:`pinned_worker` of a topology name, so one worker
+        keeps that topology's payloads warm); ``None`` lets any idle
+        worker take it.
         """
         items = list(items)
         if not items:
@@ -226,6 +277,18 @@ class SupervisedPool:
             )
         self._wake()
         return futures
+
+    def forget(self, payload_key: str) -> None:
+        """Make every worker drop ``payload_key``'s bytes and payload.
+
+        A task submitted after this call ships its payload again.  A
+        task already running keeps its payload until it finishes: the
+        supervisor sends the drop after it, on the same pipe.  Drops are
+        sent when the supervisor next hands out work to an idle worker.
+        """
+        with self._lock:
+            self._forgotten.add(payload_key)
+        self._wake()
 
     def stats(self) -> dict:
         with self._lock:
@@ -316,13 +379,38 @@ class SupervisedPool:
                 return w
         return None
 
+    def _drop_forgotten(self, keys: set[str]) -> None:
+        # Supervisor thread only: ``seen`` and the pipes are its own, so
+        # a drop never races the payload a later task ships.  A busy
+        # worker reads its drop after its current task.
+        for worker in self._workers:
+            for key in keys & worker.seen:
+                worker.seen.discard(key)
+                try:
+                    worker.conn.send(("forget", key))
+                except (BrokenPipeError, OSError):
+                    pass  # dead worker: its replacement starts empty
+
+    def _release(self, payload_key: str) -> None:
+        """Drop the parent's payload once no queued or running task needs it."""
+        with self._lock:
+            if any(t.payload_key == payload_key for t in self._pending):
+                return
+            if any(
+                w.current is not None and w.current.payload_key == payload_key
+                for w in self._workers
+            ):
+                return
+            self._payloads.pop(payload_key, None)
+
     def _dispatch(self) -> None:
         for index, worker in enumerate(self._workers):
             if worker.dead or worker.current is not None:
                 continue
             with self._lock:
-                if not self._pending:
-                    return
+                # Forgets are taken with the task, so a forget() that
+                # returned before a submit() applies before that task ships.
+                forgotten, self._forgotten = self._forgotten, set()
                 # First pending task this worker may run: unpinned tasks
                 # go to anyone, pinned tasks only to their index.
                 task = next(
@@ -330,10 +418,12 @@ class SupervisedPool:
                      if t.worker is None or t.worker == index),
                     None,
                 )
-                if task is None:
-                    continue  # only tasks pinned to busy workers remain
-                self._pending.remove(task)
-                payload = self._payloads[task.payload_key]
+                if task is not None:
+                    self._pending.remove(task)
+                    payload = self._payloads[task.payload_key]
+            self._drop_forgotten(forgotten)
+            if task is None:
+                continue  # nothing queued that this worker may run
             try:
                 if task.payload_key not in worker.seen:
                     blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -359,6 +449,7 @@ class SupervisedPool:
                 for future in task.futures:
                     if not future.done():
                         future.set_exception(err)
+                self._release(task.payload_key)
                 continue
             worker.current = task
             with self._lock:
@@ -380,6 +471,7 @@ class SupervisedPool:
         if task is None or task.id != task_id:
             return
         worker.current = None
+        self._release(task.payload_key)
         for future, (kind, value) in zip(task.futures, results):
             if future.done():
                 continue
@@ -436,6 +528,7 @@ class SupervisedPool:
                 )
                 with self._lock:
                     self._poisoned += 1
+                self._release(task.payload_key)
                 if not task.futures[0].done():
                     task.futures[0].set_exception(exc)
                 return

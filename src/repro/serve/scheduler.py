@@ -84,7 +84,7 @@ from repro.serve.cache import (
 )
 from repro.serve.faults import FaultClock, FaultPlan, on_item, on_task
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.pool import SupervisedPool
+from repro.serve.pool import SupervisedPool, pinned_worker
 from repro.serve.retry import CircuitBreaker, RetryPolicy
 
 
@@ -361,11 +361,14 @@ class BatchScheduler:
         in-process, one request at a time on one executor thread;
         ``> 0`` moves batch compute onto crash-supervised processes with
         requeue/bisection recovery, dispatching up to ``workers`` groups
-        concurrently.
+        concurrently.  Each topology's batches run on one worker
+        (:func:`~repro.serve.pool.pinned_worker`); topology sessions stay
+        in this process, which warms each pipeline before shipping it.
     max_pipelines:
         LRU bound on cached per-group pipelines (group keys embed
         client-supplied config values, so the cache must not trust
-        clients to keep the key space small).
+        clients to keep the key space small).  Pool workers drop an
+        evicted group's pipeline too.
     retry:
         :class:`RetryPolicy` for transient per-item failures.
     breaker_threshold / breaker_reset_s:
@@ -437,18 +440,11 @@ class BatchScheduler:
         self._compute_ewma: dict[str, float] = {}
         self._pending = 0
         self._closed = False
+        self.workers = int(workers)
         self._pool: SupervisedPool | None = None
-        self._pool_router = None
         if workers > 0:
             self.faults.install()  # pool workers read REPRO_FAULTS at start
             self._pool = SupervisedPool(_pool_run, workers=workers, name="repro-serve")
-            # Pin each topology's batches to one pool worker by the same
-            # rendezvous hash the shard front end uses, so per-worker
-            # session caches (labeling + distances) stay hot instead of
-            # every worker slowly accumulating every topology.
-            from repro.serve.shard import ShardRouter  # lazy: avoids cycle
-
-            self._pool_router = ShardRouter([str(i) for i in range(workers)])
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, workers),
             thread_name_prefix="repro-serve",
@@ -551,8 +547,20 @@ class BatchScheduler:
             pipe = Pipeline(topology, request.config)
         self._pipelines[gkey] = pipe  # (re-)insert = most recently used
         while len(self._pipelines) > self.max_pipelines:
-            self._pipelines.pop(next(iter(self._pipelines)))
+            evicted = next(iter(self._pipelines))
+            del self._pipelines[evicted]
+            self._forget_evicted(evicted)
         return pipe
+
+    def _forget_evicted(self, gkey: str) -> None:
+        """Make pool workers drop a pipeline the LRU no longer holds.
+
+        Called on eviction, and again when a dispatch finishes: a batch
+        already in flight when its key was evicted ships the payload
+        after the first drop.
+        """
+        if self._pool is not None and gkey not in self._pipelines:
+            self._pool.forget(gkey)
 
     def breaker_for(self, gkey: str) -> CircuitBreaker:
         """The (cached) circuit breaker guarding one dispatch group."""
@@ -847,8 +855,8 @@ class BatchScheduler:
             ]
             # All requests in a group share one topology (it is part of
             # the group key), so the whole batch pins to that topology's
-            # rendezvous-routed worker -- its session cache stays hot.
-            pin = int(self._pool_router.route(reqs[0].topology))
+            # worker, which keeps its pipelines warm.
+            pin = pinned_worker(reqs[0].topology, self.workers)
             futures = self._pool.submit(
                 gkey, _PoolPayload(pipe), items, worker=pin
             )
@@ -1081,6 +1089,7 @@ class BatchScheduler:
                         ),
                     )
         if self._pool is not None:
+            self._forget_evicted(gkey)
             stats = self._pool.stats()
             self._m_worker_restarts.set(stats["restarts"])
             self._m_poisoned.set(stats["poisoned"])

@@ -321,8 +321,8 @@ class MappingService:
     def _open_request_span(self, op: str, payload: dict):
         """The server-side root span for one map/enhance request.
 
-        A front-end-stamped context in ``payload["trace"]`` parents this
-        span under the frontend's request span (one cross-process tree);
+        A client-stamped context in ``payload["trace"]`` parents this
+        span under the client's own span (one cross-process tree);
         otherwise the trace id derives from the payload's canonical JSON
         -- the request's run identity, so replays share a trace id.  A
         client hint ``{"trace": {"sample": false}}`` opts the request
@@ -690,17 +690,11 @@ class ServeSettings:
     #: process-default kernel backend ("" = auto); per-request configs
     #: can still name their own (``config.backend`` on the wire)
     backend: str = ""
-    #: > 0 serves through a consistent-hash front end over this many
-    #: backend worker processes (see :mod:`repro.serve.shard`)
-    shards: int = 0
     #: end-to-end tracing (deterministic span trees in /debug/traces);
     #: cheap enough to default on -- the bench gates overhead at <= 2%
     trace: bool = True
     #: trace ring-buffer bound (traces retained per process)
     trace_buffer: int = 256
-    #: role tag stamped on this process's spans ("serve" standalone,
-    #: "shard" under a front end -- set by the shard spawner)
-    trace_process: str = "serve"
     #: attach cProfile top-K hotspot frames to every compute span
     profile: bool = False
 
@@ -721,7 +715,7 @@ def build_service(settings: ServeSettings) -> MappingService:
         else FaultPlan.from_env()
     )
     tracer = configure_tracer(
-        process=settings.trace_process,
+        process="serve",
         enabled=settings.trace,
         max_traces=settings.trace_buffer,
     )

@@ -221,37 +221,3 @@ class TestCliOrchestration:
     def test_matrix_requires_scenario(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--matrix", "x.toml"])
-@pytest.fixture(scope="module")
-def sharded(tmp_path_factory):
-    store_dir = tmp_path_factory.mktemp("cells-shard")
-    result = run_experiment(CONFIG, jobs=2, store=store_dir, dispatch="shards")
-    return result, ArtifactStore(store_dir)
-
-
-class TestShardedDispatch:
-    """dispatch="shards": topology-pinned fan-out, same bytes."""
-
-    def test_everything_computed(self, sharded):
-        assert sharded[0].cells_computed == N_CELLS
-        assert sharded[0].cells_cached == 0
-
-    def test_cell_for_cell_identical_to_sequential(self, sequential, sharded):
-        _, seq_store = sequential
-        _, shard_store = sharded
-        assert set(seq_store.keys()) == set(shard_store.keys())
-        for key in seq_store.keys():
-            assert deterministic_bytes(seq_store.get(key)) == (
-                deterministic_bytes(shard_store.get(key))
-            ), f"cell {key} diverged under sharded dispatch"
-
-    def test_resume_stays_exact_under_shards(self, sharded):
-        _, store = sharded
-        resumed = run_experiment(
-            CONFIG, jobs=2, store=store, resume=True, dispatch="shards"
-        )
-        assert resumed.cells_computed == 0
-        assert resumed.cells_cached == N_CELLS
-
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_experiment(CONFIG, jobs=2, dispatch="bogus")

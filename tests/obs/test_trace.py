@@ -14,7 +14,6 @@ from repro.obs.trace import (
     derive_span_id,
     derive_trace_id,
     get_tracer,
-    merge_debug_snapshots,
     tree_signature,
 )
 
@@ -241,36 +240,6 @@ class TestSnapshotsAndMerge:
         assert entry["tree"][0]["name"] == "handle"
         assert entry["duration"] >= 0.0
         assert len(snap["slowest"]) == 1
-
-    def test_merge_unions_spans_across_processes(self):
-        # The frontend half and the shard half of one trace live in
-        # different buffers; the merge must stitch them into one tree.
-        payload = _payload()
-        front = Tracer(process="frontend", buffer=TraceBuffer())
-        ctx = front.start_trace(payload)
-        root = front.span("frontend", ctx)
-        shard = Tracer(process="shard0", buffer=TraceBuffer())
-        with shard.span("handle", root.context):
-            pass
-        root.finish()
-        merged = merge_debug_snapshots(
-            [front.debug_snapshot(), shard.debug_snapshot()]
-        )
-        assert merged["process"] == "aggregate"
-        assert merged["buffer"]["sources"] == 2
-        (entry,) = merged["recent"]
-        assert entry["span_count"] == 2
-        (tree_root,) = entry["tree"]
-        assert tree_root["name"] == "frontend"
-        assert tree_root["children"][0]["name"] == "handle"
-        assert tree_root["children"][0]["process"] == "shard0"
-
-    def test_merge_dedups_recent_and_slowest_overlap(self):
-        tracer = Tracer(buffer=TraceBuffer())
-        self._spans(tracer, _payload())
-        merged = merge_debug_snapshots([tracer.debug_snapshot()])
-        (entry,) = merged["recent"]
-        assert entry["span_count"] == 2  # not doubled by the overlap
 
 
 class TestProcessGlobalTracer:

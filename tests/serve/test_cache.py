@@ -70,18 +70,6 @@ class TestLRUBounds:
 
 
 class TestSpecResolution:
-    def test_file_topologies_bypass_the_name_cache(self, tmp_path):
-        from repro.graphs import generators as gen
-        from repro.graphs.io import write_metis
-
-        path = tmp_path / "ring.graph"
-        write_metis(gen.cycle(8), path)
-        cache = TopologyCache()
-        t1 = cache.get(str(path))
-        t2 = cache.get(str(path))
-        assert t1 is not t2  # files re-read, never cached by spelling
-        assert str(path) not in cache.sessions
-
     def test_warm_precomputes(self):
         cache = TopologyCache()
         base = labeling_stats()["computed"]

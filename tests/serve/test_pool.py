@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.serve.faults import FAULTS_ENV, FaultPlan
-from repro.serve.pool import SupervisedPool
+from repro.serve.pool import SupervisedPool, pinned_worker
 
 
 # Module-level so both fork and spawn start methods can ship them.
@@ -159,6 +160,19 @@ class TestWorkerPinning:
             with pytest.raises(ConfigurationError):
                 pool.submit("p", None, [1], worker=-1)
 
+    def test_pinned_worker_keeps_the_golden_routes(self):
+        # Rendezvous routes recorded when the pin was a shard router:
+        # every topology keeps its worker.
+        golden = {
+            2: {"grid4x4": 0, "torus8x8": 1, "fattree4x3": 0,
+                "fattree2x6": 1, "dragonfly16x6": 0},
+            3: {"torus8x8": 2, "fattree4x3": 2, "fattree2x6": 1},
+        }
+        for workers, routes in golden.items():
+            for key, index in routes.items():
+                assert pinned_worker(key, workers) == index, (key, workers)
+        assert pinned_worker("grid4x4", 1) == 0
+
     def test_pin_survives_crash_restart(self):
         # Worker indices are stable across restarts, so a pin placed
         # before a crash lands on that slot's replacement process.
@@ -169,6 +183,55 @@ class TestWorkerPinning:
             (alive,) = pool.submit("p", None, ["ok"], worker=1)
             assert alive.result(timeout=60) == "ok"
             assert pool.stats()["restarts"] >= 1
+
+
+class TestPayloadLifetime:
+    def test_parent_drops_a_payload_once_its_tasks_finish(self):
+        with SupervisedPool(_double, workers=1) as pool:
+            futures = pool.submit("p", 40, [1, 2])
+            assert [f.result(timeout=30) for f in futures] == [42, 44]
+            assert pool._payloads == {}
+            assert pool._workers[0].seen == {"p"}  # the worker keeps it
+
+    def test_forget_ships_the_payload_again(self):
+        with SupervisedPool(_double, workers=1) as pool:
+            assert pool.submit("p", 40, [1])[0].result(timeout=30) == 42
+            # a key ships once: the worker still runs its first payload
+            assert pool.submit("p", 100, [1])[0].result(timeout=30) == 42
+            pool.forget("p")
+            assert pool.submit("p", 100, [1])[0].result(timeout=30) == 102
+
+    def test_concurrent_submit_and_forget_never_lose_a_payload(self):
+        # More submitting threads and workers than cores, a short switch
+        # interval, and forgets racing submits on shared keys: a drop
+        # that overtook a later payload would fail that task (its worker
+        # would hold no payload for the key).
+        keys = [f"k{i}" for i in range(3)]
+
+        def hammer(pool, t):
+            futures = []
+            for i in range(150):
+                key = keys[(t + i) % len(keys)]
+                futures += pool.submit(key, int(key[1:]), [i])
+                if i % 3 == 0:
+                    pool.forget(keys[(t + 2 * i) % len(keys)])
+            return futures
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SupervisedPool(_double, workers=3) as pool:
+                with ThreadPoolExecutor(max_workers=4) as threads:
+                    batches = list(threads.map(
+                        lambda t: hammer(pool, t), range(4)
+                    ))
+                for t, futures in enumerate(batches):
+                    for i, future in enumerate(futures):
+                        key = keys[(t + i) % len(keys)]
+                        assert future.result(timeout=60) == int(key[1:]) + 2 * i
+                assert pool._payloads == {}
+        finally:
+            sys.setswitchinterval(saved)
 
 
 def _alive(pid: int) -> bool:

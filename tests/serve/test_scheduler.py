@@ -90,6 +90,91 @@ class TestByteIdentity:
             assert np.array_equal(s.result.mu_final, d.mu_final)
 
 
+def _wait_until(predicate, timeout=10.0):
+    """Poll ``predicate`` (pool drops are applied by its supervisor)."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestPoolPinning:
+    def test_each_group_ships_only_to_its_pinned_worker(self):
+        # Golden routes with 2 workers: grid4x4 -> 0, torus8x8 -> 1.
+        requests = [_request(seed=1, topology=t) for t in ("grid4x4", "torus8x8")]
+        direct = [
+            Pipeline(r.topology, r.config).run(r.graph.build(), seed=r.seed)
+            for r in requests
+        ]
+
+        async def go():
+            scheduler = BatchScheduler(window_s=0.01, max_batch=8, workers=2)
+            try:
+                served = await asyncio.gather(
+                    *(scheduler.submit(r) for r in requests)
+                )
+                return served, [set(w.seen) for w in scheduler.pool._workers]
+            finally:
+                scheduler.close()
+
+        served, seen = run(go())
+        assert seen == [{requests[0].group_key()}, {requests[1].group_key()}]
+        for s, d in zip(served, direct):
+            assert np.array_equal(s.result.mu_final, d.mu_final)
+
+
+class TestPoolPayloadBound:
+    """The pipeline LRU bounds what the pool keeps, in both processes."""
+
+    def _requests(self):
+        # distinct epsilons -> distinct group keys, one topology
+        return [
+            MapRequest(
+                topology="grid4x4",
+                graph=GraphSpec(kind="generate", seed=0),
+                config=parse_config({"nh": 1, "epsilon": 0.03 + i / 100}),
+                seed=0,
+            )
+            for i in range(6)
+        ]
+
+    def _serve(self, workers, concurrent):
+        async def go():
+            scheduler = BatchScheduler(
+                window_s=0, workers=workers, max_pipelines=2
+            )
+            try:
+                if concurrent:
+                    served = await asyncio.gather(
+                        *(scheduler.submit(r) for r in self._requests())
+                    )
+                else:
+                    served = [
+                        await scheduler.submit(r) for r in self._requests()
+                    ]
+                await scheduler.drain()
+                pool = scheduler.pool
+                if pool is not None:
+                    assert len(scheduler._pipelines) == 2
+                    assert len(pool._payloads) <= 2
+                    assert _wait_until(
+                        lambda: sum(len(w.seen) for w in pool._workers) <= 2
+                    ), [w.seen for w in pool._workers]
+                return [s.result.mu_final for s in served]
+            finally:
+                scheduler.close()
+
+        return run(go())
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_evicted_pipelines_leave_the_pool(self, concurrent):
+        pooled = self._serve(workers=1, concurrent=concurrent)
+        inline = self._serve(workers=0, concurrent=concurrent)
+        assert len(pooled) == len(inline) == 6
+        for a, b in zip(pooled, inline):
+            assert np.array_equal(a, b)
+
+
 class TestCoalescing:
     def test_identical_requests_computed_once(self):
         async def go():

@@ -142,6 +142,25 @@ class TestOps:
         )
         assert status == 400 and reply["error"] == "bad_request"
 
+    def test_topology_naming_a_file_is_400_and_leaks_nothing(
+        self, service, tmp_path
+    ):
+        from repro.graphs.io import write_metis
+
+        secret = tmp_path / "secret.txt"
+        secret.write_text("root:x:0:0:secret-token\n", encoding="utf-8")
+        metis = tmp_path / "ring.graph"
+        write_metis(gen.cycle(8), metis)
+        for path in (secret, metis):
+            status, reply, _ = asyncio.run(
+                service.handle("map", _map_body() | {"topology": str(path)})
+            )
+            assert status == 400 and reply["error"] == "bad_request"
+            assert "unknown topology" in reply["message"]
+            assert "grid4x4" in reply["message"]  # lists the known names
+            assert "secret-token" not in reply["message"]
+            assert "METIS" not in reply["message"]
+
     def test_unknown_op_is_404(self, service):
         status, reply, _ = asyncio.run(service.handle("frob", {}))
         assert status == 404

@@ -1,10 +1,10 @@
 """End-to-end tracing through the serve tier.
 
-The tentpole contract: one ``/map`` against a 2-shard cluster yields a
-single trace whose tree walks frontend -> shard worker -> scheduler ->
-pipeline stages, exposed via ``/debug/traces``, with span ids that are
-byte-identical when the same request is replayed against a fresh
-cluster.
+The contract: one ``/map`` against a server with two pool workers
+yields a single trace whose tree walks the server's ``handle`` ->
+scheduler -> pool worker -> pipeline stages, exposed via
+``/debug/traces``, with span ids that are byte-identical when the same
+request is replayed against a fresh server.
 """
 
 import asyncio
@@ -12,8 +12,7 @@ import asyncio
 from repro.obs.trace import TraceBuffer, Tracer, tree_signature
 from repro.serve.loadgen import LoadProfile, http_request_json, plan_requests
 from repro.serve.scheduler import BatchScheduler
-from repro.serve.service import MappingService, ServeSettings
-from repro.serve.shard import FrontendThread, ShardCluster
+from repro.serve.service import MappingService, ServeSettings, ServerThread
 
 
 def _map_body(seed=0, **extra):
@@ -184,54 +183,51 @@ class TestLoadgenTraceSample:
 
 
 class TestClusterTracing:
-    """The acceptance walk: 2 real shard processes behind the front end."""
+    """The acceptance walk: a real server process with 2 pool workers."""
 
-    def _run_cluster_once(self, body):
-        settings = ServeSettings(window_ms=5)
-        with ShardCluster(settings, shards=2) as cluster:
-            with FrontendThread(cluster.backends) as front:
-                status, reply = asyncio.run(
-                    http_request_json(
-                        front.host, front.port, "POST", "/map", body
-                    )
-                )
-                assert status == 200 and reply["ok"], reply
-                status, snap = asyncio.run(
-                    http_request_json(
-                        front.host, front.port, "GET", "/debug/traces"
-                    )
-                )
-                assert status == 200
-                entry = next(
-                    e for e in snap["recent"]
-                    if e["trace_id"] == reply["trace_id"]
-                )
-                return reply, snap, entry
+    def _run_server_once(self, body):
+        with ServerThread(ServeSettings(port=0, window_ms=5, workers=2)) as srv:
+            status, reply = asyncio.run(
+                http_request_json(srv.host, srv.port, "POST", "/map", body)
+            )
+            assert status == 200 and reply["ok"], reply
+            status, snap = asyncio.run(
+                http_request_json(srv.host, srv.port, "GET", "/debug/traces")
+            )
+            assert status == 200
+            entry = next(
+                e for e in snap["recent"]
+                if e["trace_id"] == reply["trace_id"]
+            )
+            return reply, snap, entry
 
     def test_one_map_yields_one_cross_process_trace_tree(self):
-        reply, snap, entry = self._run_cluster_once(_map_body())
-        assert snap["process"] == "aggregate"
-        assert snap["buffer"]["sources"] == 3  # frontend + both shards
-        spans = entry["spans"]
-        processes = {s["process"] for s in spans}
-        assert "frontend" in processes
-        assert processes & {"shard0", "shard1"}
-        # one tree: the frontend root, the shard handle under it, the
-        # pipeline stages under the shard's compute span
+        _reply, snap, entry = self._run_server_once(_map_body())
+        assert snap["process"] == "serve"
+        # one tree, rooted at the server's handle span
         (root,) = entry["tree"]
-        assert root["name"] == "frontend" and root["process"] == "frontend"
-        child_names = {c["name"] for c in root["children"]}
-        assert {"forward", "handle"} <= child_names
-        handle = next(c for c in root["children"] if c["name"] == "handle")
-        assert handle["process"].startswith("shard")
-        flat = _names(spans)
-        assert {"pipeline", "stage:partition", "stage:initial_mapping",
-                "stage:enhance"} <= flat
+        assert root["name"] == "handle" and root["process"] == "serve"
+
+        def walk(node):
+            yield node
+            for child in node["children"]:
+                yield from walk(child)
+
+        compute = next(n for n in walk(root) if n["name"] == "compute")
+        assert compute["process"] == "serve"
+        below = {n["name"]: n["process"] for n in walk(compute) if n is not compute}
+        assert below == {
+            "pool_execute": "pool",
+            "pipeline": "pool",
+            "stage:partition": "pool",
+            "stage:initial_mapping": "pool",
+            "stage:enhance": "pool",
+        }
 
     def test_span_trees_are_byte_identical_across_cluster_reruns(self):
         body = _map_body(seed=3)
-        _reply1, _snap1, entry1 = self._run_cluster_once(body)
-        _reply2, _snap2, entry2 = self._run_cluster_once(body)
+        _reply1, _snap1, entry1 = self._run_server_once(body)
+        _reply2, _snap2, entry2 = self._run_server_once(body)
         assert entry1["trace_id"] == entry2["trace_id"]
         assert tree_signature(entry1["spans"]) == tree_signature(
             entry2["spans"]
