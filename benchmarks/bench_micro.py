@@ -243,11 +243,11 @@ def test_bench_wide_permute_labels(benchmark, wide_workload):
 
 
 # ----------------------------------------------------------------------
-# Wide-label argsort: radix-style lexsort path vs generic void keys
+# Wide-label argsort: the one label sort of a hierarchy
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def two_word_labels():
-    """BA n=2000 labels on fattree2x5 (dim 62 + 5 -> W=2, the radix regime)."""
+    """BA n=2000 labels on fattree2x5 (dim 62 + 5 -> W=2)."""
     ga = gen.barabasi_albert(2000, 4, seed=1)
     gp = gen.fat_tree(2, 5)
     pc = partial_cube_labeling(gp)
@@ -258,17 +258,8 @@ def two_word_labels():
     return app.labels
 
 
-def test_bench_wide_argsort_radix(benchmark, two_word_labels):
-    """The production path: lexsort over word columns above the threshold."""
-    from repro.utils.bitops import RADIX_SORT_THRESHOLD, argsort_labels
-
-    assert two_word_labels.shape[0] >= RADIX_SORT_THRESHOLD
-    order = benchmark(argsort_labels, two_word_labels)
-    assert order.shape[0] == two_word_labels.shape[0]
-
-
 def test_bench_wide_argsort_void_reference(benchmark, two_word_labels):
-    """The PR-4 fallback: stable argsort of big-endian void keys."""
+    """Stable argsort of big-endian void keys, as ``argsort_labels`` does."""
     from repro.utils.bitops import label_sort_keys
 
     def run():

@@ -15,6 +15,13 @@ best-of-``repeats`` wall time; the runner exits non-zero if a kernel
 regresses below its floor (swap_pass >= 5x, partial-cube labeling >= 3x),
 making it usable as a CI smoke gate.
 
+The ``wide_hierarchy`` entry times one whole hierarchy walk of the
+enhancer (``_one_hierarchy``: permute, swap and contract at every level,
+assemble) on the multi-word workload below, against the same walk on
+the sort-based oracles (``contract_level_reference``,
+``assemble_reference`` and a ``sibling_pairs`` that sorts the labels
+every level); its floor (>= 1.5x) keeps a hierarchy at one label sort.
+
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
 (``fm_refine_reference``, ``grow_bisection_reference``) on the same BA
@@ -44,12 +51,16 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import enhancer, kernels
+from repro.core.assemble import assemble_reference
 from repro.core.backend import available_backends, current_backend, get_backend, use_backend
-from repro.core.contraction import make_finest_level
+from repro.core.config import TimerConfig
+from repro.core.contraction import contract_level_reference, make_finest_level
 from repro.core.labels import build_application_labeling
 from repro.core.swaps import swap_pass, swap_pass_reference
 from repro.graphs import generators as gen
@@ -61,6 +72,7 @@ from repro.partialcube.djokovic import (
 )
 from repro.partitioning.fm import fm_refine, fm_refine_reference
 from repro.partitioning.initial import grow_bisection, grow_bisection_reference
+from repro.utils.segments import build_csr
 
 OUTPUT = Path(__file__).parent / "BENCH_kernels.json"
 
@@ -70,6 +82,7 @@ FLOORS = {
     "partial_cube_labeling": 3.0,
     "wide_swap_pass": 3.0,
     "wide_partial_cube_labeling": 3.0,
+    "wide_hierarchy": 1.5,
     "fm_refine": 3.0,
     "grow_bisection": 2.0,
     # compiled tiers (present only where numba imports): the parallel
@@ -103,6 +116,23 @@ def _seed_partial_cube_labeling(gp):
     """The seed recognition path: one Python BFS per vertex + class loop."""
     distances = np.stack([bfs_distances(gp, v) for v in range(gp.n)])
     return _djokovic_classes_loop(gp, distances)
+
+
+@contextmanager
+def _sort_based_hierarchy():
+    """Run the enhancer's hierarchy walk on the sort-based oracles.
+
+    Contraction and assembly become their ``*_reference`` versions and
+    the swap kernel's sibling pairs sort the labels afresh every level.
+    """
+    saved = (enhancer.contract_level, enhancer.assemble, kernels.sibling_pairs)
+    enhancer.contract_level = contract_level_reference
+    enhancer.assemble = assemble_reference
+    kernels.sibling_pairs = lambda labels, order=None: saved[2](labels)
+    try:
+        yield
+    finally:
+        enhancer.contract_level, enhancer.assemble, kernels.sibling_pairs = saved
 
 
 def _backend_tiers(repeats: int) -> dict:
@@ -269,6 +299,29 @@ def run(repeats: int = 5) -> dict:
         "after_s": _best_of(after_wide_swaps, repeats),
     }
 
+    # --- one hierarchy walk: level order vs sorting at every level -------
+    perm = np.random.default_rng(6).permutation(wide_app.dim).astype(np.int64)
+    finest_csr = build_csr(ga.n, *edges)
+
+    def walk():
+        return enhancer._one_hierarchy(
+            edges, wide_app.labels, wide_app.dim, wide_app.dim_e, perm,
+            TimerConfig(), finest_csr,
+        )
+
+    def before_walk():
+        with _sort_based_hierarchy():
+            return walk()
+
+    if not np.array_equal(before_walk(), walk()):
+        raise AssertionError("one-sort hierarchy diverged from the sort-based oracles")
+    results["wide_hierarchy"] = {
+        "workload": "BA n=2000 m=4 on fattree2x7 (dim 257, 5-word labels), "
+        "one hierarchy: 255 swap+contract levels, then assembly",
+        "before_s": _best_of(before_walk, repeats),
+        "after_s": _best_of(walk, repeats),
+    }
+
     def before_wide_pc():
         return _seed_partial_cube_labeling(ft)
 
@@ -369,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if floor is not None:
             enforced = floor * args.floor_scale
-            line += f"   (floor {floor:.0f}x"
+            line += f"   (floor {floor:g}x"
             if args.floor_scale != 1.0:
                 line += f", enforcing {enforced:.1f}x"
             line += ")"

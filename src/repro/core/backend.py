@@ -200,24 +200,7 @@ class KernelBackend:
 
     # -- label ordering ------------------------------------------------
     def argsort_labels(self, labels: np.ndarray) -> np.ndarray:
-        """Stable argsort of an ``(n, W)`` label array in bitvector order.
-
-        Labels take the radix path (``np.lexsort`` over word
-        columns, least significant first) whenever at most
-        ``RADIX_SORT_MAX_WORDS`` columns actually *vary* -- constant
-        columns cannot affect a stable order, so dropping them extends
-        the measured ``W <= 2`` lexsort win to any total width (e.g.
-        contracted hierarchy levels, whose high words are zero).
-        """
-        n, width = labels.shape
-        if n >= bitops.RADIX_SORT_THRESHOLD:
-            if width <= bitops.RADIX_SORT_MAX_WORDS:
-                return np.lexsort(labels.T)
-            varying = np.nonzero(labels.min(axis=0) != labels.max(axis=0))[0]
-            if varying.size == 0:
-                return np.arange(n, dtype=np.int64)
-            if varying.size <= bitops.RADIX_SORT_MAX_WORDS:
-                return np.lexsort(labels[:, varying].T)
+        """Stable argsort of an ``(n, W)`` label array in bitvector order."""
         return np.argsort(bitops.label_sort_keys(labels), kind="stable")
 
     # -- popcount kernels ----------------------------------------------

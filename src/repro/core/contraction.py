@@ -16,8 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.bitops import as_label_array, shift_right_labels, unique_labels
-from repro.utils.segments import group_reduce_sum
+from repro.utils.bitops import (
+    adjacent_siblings,
+    argsort_labels,
+    as_label_array,
+    shift_right_labels,
+    unique_labels,
+)
+from repro.utils.segments import (
+    build_csr,
+    counting_argsort,
+    group_reduce_sum,
+    run_sums,
+    sorted_runs,
+)
 
 
 @dataclass
@@ -29,14 +41,22 @@ class Level:
     when the next level is built.  ``csr`` caches the symmetric adjacency
     ``(indptr, indices, weights)`` of the edge arrays -- the level's
     structure never changes after construction (swaps only permute
-    ``labels``), so the swap kernels build it at most once per level via
-    :func:`repro.core.kernels.level_csr`.
+    ``labels``), so it is built at most once per level: by
+    :func:`contract_level` for a contracted level, on first use via
+    :func:`repro.core.kernels.level_csr` otherwise.
+
+    ``order`` lists the vertex ids in ascending label order as the level
+    was built.  A sibling swap exchanges two labels that differ only in
+    bit 0, so along ``order`` the prefixes ``labels >> 1`` stay
+    non-decreasing and siblings stay adjacent however many swaps run --
+    which is all the contraction and the sibling-pair search need.
     """
 
     us: np.ndarray
     vs: np.ndarray
     ws: np.ndarray
     labels: np.ndarray
+    order: np.ndarray
     parent: np.ndarray | None = None
     csr: tuple | None = None
 
@@ -49,10 +69,13 @@ def make_finest_level(ga_edges: tuple, labels: np.ndarray) -> Level:
     """Wrap ``G_a``'s edge arrays and a copy of the labels as level 1.
 
     Accepts caller-supplied labels (see
-    :func:`~repro.utils.bitops.as_label_array`).
+    :func:`~repro.utils.bitops.as_label_array`).  Sorting them here is
+    the one label sort of a whole hierarchy: every coarser level is
+    numbered in label order by construction.
     """
     us, vs, ws = ga_edges
-    return Level(us=us, vs=vs, ws=ws, labels=as_label_array(labels).copy())
+    labels = as_label_array(labels).copy()
+    return Level(us=us, vs=vs, ws=ws, labels=labels, order=argsort_labels(labels))
 
 
 def contract_level(level: Level) -> Level:
@@ -62,6 +85,92 @@ def contract_level(level: Level) -> Level:
     Parallel edges arising from the contraction are merged by weight
     summation; edges collapsing inside a coarse vertex vanish (they can no
     longer influence any coarser gain).
+
+    Coarse vertices are numbered by prefix rank, read off the runs of
+    equal prefixes along ``level.order``, so the coarse level's own order
+    is the identity.  The coarse CSR is placed from the merged edges,
+    which come out sorted by ``(u, v)``.  Labels, parents, edges and CSR
+    equal :func:`contract_level_reference`'s array for array.
+    """
+    n = level.n
+    ranked = np.take(level.labels, level.order, axis=0)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ~adjacent_siblings(ranked)
+    parent = np.empty(n, dtype=np.int64)
+    parent[level.order] = np.cumsum(starts) - 1
+    level.parent = parent
+    coarse_labels = shift_right_labels(ranked[starts], 1)
+    n_c = coarse_labels.shape[0]
+    us, vs, ws = _merge_edges(parent, level, n_c)
+    return Level(
+        us=us,
+        vs=vs,
+        ws=ws,
+        labels=coarse_labels,
+        order=np.arange(n_c, dtype=np.int64),
+        csr=_csr_of_sorted_edges(n_c, us, vs, ws),
+    )
+
+
+def _merge_edges(parent: np.ndarray, level: Level, n_c: int) -> tuple:
+    """The level's edges between coarse vertices, parallel edges summed.
+
+    Returns ``(us, vs, ws)`` with ``us < vs``, sorted by ``(us, vs)``:
+    the grouping and the sums of :func:`group_reduce_sum`; a group's
+    endpoints are read off its first edge, which is cheaper than
+    dividing them out of its key.
+    """
+    cu = parent[level.us]
+    cv = parent[level.vs]
+    keep = cu != cv
+    cu, cv, cw = cu[keep], cv[keep], level.ws[keep]
+    if not cu.size:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0, dtype=np.float64)
+    lo = np.minimum(cu, cv)
+    hi = np.maximum(cu, cv)
+    order, starts = sorted_runs(lo * n_c + hi)
+    first = order[starts]
+    return lo[first], hi[first], run_sums(cw[order], starts)
+
+
+def _csr_of_sorted_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple:
+    """``build_csr(n, us, vs, ws)`` for edges with ``us < vs`` sorted by ``(us, vs)``.
+
+    Row ``r`` of that CSR lists its larger neighbours ascending (the
+    edges with ``us == r``, a contiguous run), then its smaller
+    neighbours ascending (the edges with ``vs == r`` in edge order), so
+    every entry's position follows from the per-row counts.
+    """
+    m = us.shape[0]
+    larger = np.bincount(us, minlength=n)
+    smaller = np.bincount(vs, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(larger + smaller, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=np.float64)
+    edge = np.arange(m, dtype=np.int64)
+    # Edge e holds row us[e]'s (e - #edges of earlier rows)-th larger
+    # entry; indptr[us[e]] adds the entries of earlier rows, so the
+    # position is e plus their smaller entries.
+    larger_at = edge + (np.cumsum(smaller) - smaller)[us]
+    indices[larger_at] = vs
+    weights[larger_at] = ws
+    # Likewise the k-th edge in (vs, us) order sits k plus the larger
+    # entries of rows up to and including its own.
+    by_v = counting_argsort(vs, n)
+    smaller_at = edge + np.cumsum(larger)[vs[by_v]]
+    indices[smaller_at] = us[by_v]
+    weights[smaller_at] = ws[by_v]
+    return indptr, indices, weights
+
+
+def contract_level_reference(level: Level) -> Level:
+    """The sort-based contraction :func:`contract_level` replaced (test oracle).
+
+    Groups the prefixes with :func:`~repro.utils.bitops.unique_labels`,
+    which sorts them afresh, and builds the coarse CSR with
+    :func:`~repro.utils.segments.build_csr`.
     """
     prefixes = shift_right_labels(level.labels, 1)
     coarse_labels, parent = unique_labels(prefixes)
@@ -70,9 +179,9 @@ def contract_level(level: Level) -> Level:
     cv = level.parent[level.vs]
     keep = cu != cv
     cu, cv, cw = cu[keep], cv[keep], level.ws[keep]
+    n_c = coarse_labels.shape[0]
     if cu.size:
         # Merge parallel edges: canonical key, then one grouped sum.
-        n_c = coarse_labels.shape[0]
         keys = np.minimum(cu, cv) * n_c + np.maximum(cu, cv)
         uniq, merged_w = group_reduce_sum(keys, cw)
         mu_ = uniq // n_c
@@ -81,7 +190,14 @@ def contract_level(level: Level) -> Level:
         mu_ = np.empty(0, dtype=np.int64)
         mv_ = np.empty(0, dtype=np.int64)
         merged_w = np.empty(0, dtype=np.float64)
-    return Level(us=mu_, vs=mv_, ws=merged_w, labels=coarse_labels)
+    return Level(
+        us=mu_,
+        vs=mv_,
+        ws=merged_w,
+        labels=coarse_labels,
+        order=np.arange(n_c, dtype=np.int64),
+        csr=build_csr(n_c, mu_, mv_, merged_w),
+    )
 
 
 def build_hierarchy(ga_edges: tuple, labels: np.ndarray, dim: int) -> list[Level]:

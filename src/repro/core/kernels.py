@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.core.backend import current_backend
 from repro.core.contraction import Level
-from repro.utils.bitops import argsort_labels, label_lsb
+from repro.utils.bitops import adjacent_siblings, argsort_labels, label_lsb
 from repro.utils.segments import build_csr
 
 _ONE = np.uint64(1)
@@ -81,32 +81,38 @@ __all__ = [
 def level_csr(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached symmetric CSR adjacency of a hierarchy level.
 
-    Built on first use and stored on ``level.csr``; a level's edge arrays
-    are immutable (swap passes only permute labels), so one build per
-    level suffices no matter how many sweeps or strategies run on it.
+    A contracted level arrives with its CSR, built by
+    :func:`~repro.core.contraction.contract_level`; any other level
+    builds it here on first use and stores it on ``level.csr``.  A level's edge arrays are immutable (swap
+    passes only permute labels), so one build per level suffices no
+    matter how many sweeps or strategies run on it.
     """
     if level.csr is None:
         level.csr = build_csr(level.n, level.us, level.vs, level.ws)
     return level.csr
 
 
-def sibling_pairs(labels: np.ndarray) -> np.ndarray:
+def sibling_pairs(labels: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """``(k, 2)`` array of vertex pairs whose labels differ only in bit 0.
 
-    Pairs are returned in ascending prefix order; labels are assumed
-    unique (true on every hierarchy level).  Labels sort in numeric
-    bitvector order (:func:`~repro.utils.bitops.argsort_labels`).
+    Pairs are returned in ascending prefix order, each as (the vertex
+    whose label ends in 0, the one whose label ends in 1); labels are
+    assumed unique (true on every hierarchy level).  ``order`` is any
+    vertex order along which the prefixes ``labels >> 1`` do not
+    decrease -- a level's ``Level.order``, which sibling swaps keep
+    valid; without it the labels are sorted
+    (:func:`~repro.utils.bitops.argsort_labels`).
     """
-    order = argsort_labels(labels)
-    lab_sorted = np.take(labels, order, axis=0)
-    # Siblings differ only in bit 0 of word 0: compare word 0 >> 1 and
-    # every higher word verbatim.
-    word0_prefix = lab_sorted[:, 0] >> _ONE
-    adjacent = word0_prefix[1:] == word0_prefix[:-1]
-    if labels.shape[1] > 1:
-        adjacent &= (lab_sorted[1:, 1:] == lab_sorted[:-1, 1:]).all(axis=1)
-    first = np.nonzero(adjacent)[0]
-    return np.stack([order[first], order[first + 1]], axis=1)
+    if order is None:
+        order = argsort_labels(labels)
+    ranked = np.take(labels, order, axis=0)
+    first = np.nonzero(adjacent_siblings(ranked))[0]
+    a = order[first]
+    b = order[first + 1]
+    b_holds_zero = (ranked[first, 0] & _ONE).astype(bool)
+    return np.stack(
+        [np.where(b_holds_zero, b, a), np.where(b_holds_zero, a, b)], axis=1
+    )
 
 
 def sibling_pair_weights(level: Level, pairs: np.ndarray) -> np.ndarray:
@@ -292,7 +298,7 @@ def batch_swap_pass(
     # order, the per-vertex pair index and the whole pair-interaction
     # layout are invariant across sweeps -- build them once.  Only the
     # labels-dependent values (gains and contribution signs) change.
-    pairs = sibling_pairs(labels)
+    pairs = sibling_pairs(labels, level.order)
     k = pairs.shape[0]
     if k == 0:
         return 0, 0.0

@@ -38,7 +38,7 @@ from repro.core.kernels import (
     sibling_pairs,
 )
 from repro.utils.bitops import label_lsb, swap_label_rows
-from repro.utils.segments import build_csr
+from repro.utils.segments import build_csr, counting_argsort
 
 __all__ = [
     "sibling_pairs",
@@ -138,7 +138,7 @@ def kl_swap_pass(
     kept_swaps = 0
     kept_delta = 0.0
     for _ in range(max(1, sweeps)):
-        pairs = sibling_pairs(labels)
+        pairs = sibling_pairs(labels, level.order)
         k = pairs.shape[0]
         if k == 0:
             break
@@ -151,7 +151,7 @@ def kl_swap_pass(
         own, dst, src, nbr, wt = pair_interactions(pairs, csr, labels.shape[0])
         b = label_lsb(labels)
         c0 = sign * (wt * (1.0 - 2.0 * (b[src] ^ b[nbr])))
-        by_dst = np.argsort(dst, kind="stable")
+        by_dst = counting_argsort(dst, k)
         own_by_dst = own[by_dst]
         c0_by_dst = c0[by_dst]
         dst_indptr = np.searchsorted(dst[by_dst], np.arange(k + 1))

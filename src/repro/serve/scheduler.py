@@ -105,6 +105,19 @@ class DeadlineExceededError(ReproError):
 # ----------------------------------------------------------------------
 # Request model
 # ----------------------------------------------------------------------
+def wire_int(value, field: str) -> int:
+    """An integer taken off the wire: an int, or a float with no fraction.
+
+    A bool, a string or a fractional float raises ``ConfigurationError``
+    naming ``field`` -- ``int()`` would silently truncate or coerce it.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Deterministic description of an application graph.
@@ -141,6 +154,9 @@ class GraphSpec:
             )
         if self.kind == "edges" and self.n is None:
             raise ConfigurationError("inline graph spec needs a vertex count 'n'")
+        for i, edge in enumerate(self.edges):
+            for endpoint in edge[:2]:
+                wire_int(endpoint, f"graph edge {i} endpoint")
 
     def build(self) -> Graph:
         if self.kind == "generate":

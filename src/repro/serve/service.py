@@ -65,6 +65,7 @@ from repro.serve.scheduler import (
     MapRequest,
     QueueFullError,
     ServedResult,
+    wire_int,
 )
 
 #: Registry-name prefix of the server-side admission verify hook.  The
@@ -203,12 +204,14 @@ def parse_request(
             )
     seed = payload.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = wire_int(seed, "seed")
     mu = payload.get("mu")
     if require_mu and mu is None:
         raise ReproError("enhance requests need a 'mu' mapping array")
     if mu is not None:
-        mu = np.asarray([int(x) for x in mu], dtype=np.int64)
+        mu = np.asarray(
+            [wire_int(x, f"mu[{i}]") for i, x in enumerate(mu)], dtype=np.int64
+        )
     deadline_s = payload.get("deadline_s", default_deadline_s)
     if deadline_s is not None:
         deadline_s = float(deadline_s)

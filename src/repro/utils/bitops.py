@@ -304,36 +304,29 @@ def label_sort_keys(labels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(be).view(np.dtype((np.void, 8 * W))).ravel()
 
 
-#: Label arrays at or above this many rows argsort via the word-column
-#: radix path (np.lexsort); below it the generic key argsort wins on
-#: constant factors.  Tuned on the bench_micro workload.
-RADIX_SORT_THRESHOLD = 256
-
-#: The radix path pays one full stable sort pass per *varying* word,
-#: while the void path's memcmp usually exits on the first differing
-#: byte, so lexsort only wins while the pass count stays small
-#: (measured: ~1.2 - 2.3x faster at <= 2 varying words, ~0.7x at 4,
-#: across n = 256 .. 5e5).  Constant word columns cannot affect a
-#: stable order, so the regime is counted over varying columns -- which
-#: extends the fast path to any total W (e.g. contracted hierarchy
-#: levels, whose high words are all zero).
-RADIX_SORT_MAX_WORDS = 2
-
-
 def argsort_labels(labels) -> np.ndarray:
     """Stable argsort of a label array in numeric bitvector order.
 
-    Accepts caller-supplied labels (see :func:`as_label_array`).  Orders
-    by :func:`label_sort_keys`; at or above :data:`RADIX_SORT_THRESHOLD`
-    rows with at most :data:`RADIX_SORT_MAX_WORDS` *varying* words the
-    key argsort is replaced by a radix-style pass -- ``np.lexsort`` over
-    the varying word columns, least significant first.  All paths are
-    stable, so they produce the identical permutation; the choice
-    dispatches through the active kernel backend.
+    Accepts caller-supplied labels (see :func:`as_label_array`) and
+    orders by :func:`label_sort_keys`; dispatches through the active
+    kernel backend.
     """
     from repro.core.backend import current_backend
 
     return current_backend().argsort_labels(as_label_array(labels))
+
+
+def adjacent_siblings(rows: np.ndarray) -> np.ndarray:
+    """``out[i]``: rows ``i`` and ``i + 1`` agree on every bit but bit 0.
+
+    With the rows in non-decreasing prefix (``labels >> 1``) order these
+    are exactly the sibling pairs, and ``~out`` marks where each new
+    prefix begins.
+    """
+    same = (rows[1:, 0] ^ rows[:-1, 0]) <= _ONE
+    for w in range(1, rows.shape[1]):
+        same &= rows[1:, w] == rows[:-1, w]
+    return same
 
 
 def swap_label_rows(labels: np.ndarray, u: int, v: int) -> None:

@@ -86,6 +86,45 @@ class TestParsing:
         assert "mapping-valid" in cfg.post_verify
 
 
+class TestNonIntegerWireValues:
+    """``mu``, ``seed`` and inline edge endpoints are integers, never truncated."""
+
+    _PATH = {"kind": "edges", "n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
+
+    def _enhance(self, service, **fields):
+        body = {"topology": "grid4x4", "graph": self._PATH, "mu": [0, 1, 2, 3],
+                "seed": 1, "config": {"nh": 1}} | fields
+        return asyncio.run(service.handle("enhance", body))
+
+    @pytest.mark.parametrize(
+        "mu", [[0.9, 1.5, 2.2, 3.7], [True, False, True, False], ["0", 1, 2, 3]]
+    )
+    def test_mu(self, service, mu):
+        status, reply, _ = self._enhance(service, mu=mu)
+        assert status == 400 and reply["error"] == "bad_request"
+        assert "mu[0]" in reply["message"]
+        status, _, _ = self._enhance(service, mu=[0.0, 1.0, 2.0, 3.0])
+        assert status == 200
+
+    @pytest.mark.parametrize("seed", [1.7, True, "1"])
+    def test_seed(self, service, seed):
+        status, reply, _ = self._enhance(service, seed=seed)
+        assert status == 400 and reply["error"] == "bad_request"
+        assert "seed" in reply["message"]
+        status, reply, _ = self._enhance(service, seed=1.0)
+        assert status == 200 and reply["mu"] == self._enhance(service)[1]["mu"]
+
+    @pytest.mark.parametrize("endpoint", [0.6, False, "0"])
+    def test_edge_endpoint(self, service, endpoint):
+        graph = {"kind": "edges", "n": 4, "edges": [[endpoint, 1, 1], [1, 2, 1]]}
+        status, reply, _ = self._enhance(service, graph=graph)
+        assert status == 400 and reply["error"] == "bad_request"
+        assert "graph edge 0 endpoint" in reply["message"]
+        graph = {"kind": "edges", "n": 4, "edges": [[0.0, 1, 1], [1, 2, 1]]}
+        status, _, _ = self._enhance(service, graph=graph)
+        assert status == 200
+
+
 class TestOps:
     def test_map_round_trip_matches_direct(self, service):
         body = _map_body(seed=5)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.utils.bitops import (
-    RADIX_SORT_THRESHOLD,
     argsort_labels,
     as_label_array,
     get_label_bit,
@@ -226,7 +225,7 @@ class TestRowOps:
 
 
 class TestArgsortLabels:
-    """The radix-style fast path must equal the void-key stable argsort."""
+    """``argsort_labels`` must equal the void-key stable argsort."""
 
     def _void_argsort(self, labels):
         return np.argsort(label_sort_keys(labels), kind="stable")
@@ -238,22 +237,21 @@ class TestArgsortLabels:
         got = argsort_labels(labels)
         assert np.array_equal(got, self._void_argsort(labels))
 
-    def test_radix_path_matches_void_path_above_threshold(self):
+    def test_two_word_labels_with_repeats_match_void_keys(self):
         rng = np.random.default_rng(0)
-        n = RADIX_SORT_THRESHOLD + 500
+        n = 756
         labels = rng.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
         # duplicate rows exercise stability: equal keys keep input order
         labels[n // 2 :] = labels[: n - n // 2]
         assert np.array_equal(argsort_labels(labels), self._void_argsort(labels))
 
-    def test_many_word_labels_stay_on_the_void_path_correctly(self):
+    def test_four_word_labels_match_void_keys(self):
         rng = np.random.default_rng(2)
-        n = RADIX_SORT_THRESHOLD + 100
-        labels = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64)
+        labels = rng.integers(0, 2**64, size=(356, 4), dtype=np.uint64)
         assert np.array_equal(argsort_labels(labels), self._void_argsort(labels))
 
     def test_stability_on_all_equal_labels(self):
-        labels = np.zeros((RADIX_SORT_THRESHOLD + 4, 2), dtype=np.uint64)
+        labels = np.zeros((260, 2), dtype=np.uint64)
         assert np.array_equal(
             argsort_labels(labels), np.arange(labels.shape[0])
         )

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.utils.segments import build_csr, group_ranks, group_reduce_sum, segment_sum
+from repro.utils.segments import (
+    build_csr,
+    group_ranks,
+    group_reduce_sum,
+    run_sums,
+    segment_sum,
+)
 
 
 class TestSegmentSum:
@@ -65,6 +71,23 @@ class TestGroupReduceSum:
     def test_rejects_misaligned(self):
         with pytest.raises(ValueError):
             group_reduce_sum(np.asarray([1, 2]), np.asarray([1.0]))
+
+    def test_sums_are_bitwise_reduceat(self):
+        # reduceat adds a run's tail pairwise onto its head; run_sums must
+        # reproduce that exactly, for runs shorter and longer than numpy's
+        # 8-element pairwise block.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            lengths = rng.choice([1, 1, 1, 2, 3, 4, 9, 17], size=int(rng.integers(1, 30)))
+            starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+            values = np.round(rng.uniform(0.1, 5.0, int(lengths.sum())), 1)
+            expect = np.add.reduceat(values, starts)
+            assert run_sums(values, starts).tobytes() == expect.tobytes()
+            keys = np.repeat(rng.permutation(lengths.size), lengths)
+            order = np.argsort(keys, kind="stable")
+            uniq, sums = group_reduce_sum(keys, values)
+            starts_k = np.unique(keys[order], return_index=True)[1]
+            assert sums.tobytes() == np.add.reduceat(values[order], starts_k).tobytes()
 
 
 class TestGroupRanks:
