@@ -16,6 +16,8 @@ from repro.core.kernels import (
     batch_pair_deltas,
     level_csr,
     pair_delta,
+    pair_row_gains,
+    pair_rows,
     sibling_pair_weights,
     sibling_pairs,
 )
@@ -87,7 +89,20 @@ def test_bench_swap_pass_scalar_reference(benchmark, workload):
 
 
 def test_bench_pair_deltas_batch(benchmark, workload):
-    """Gain evaluation of every sibling pair in one vectorized pass."""
+    """Gain evaluation of every sibling pair from the gathered pair rows."""
+    ga, _, _, app = workload
+    lvl = make_finest_level(ga.edge_arrays(), app.labels.copy())
+    csr = level_csr(lvl)
+    pairs = sibling_pairs(lvl.labels)
+    rows = pair_rows(lvl, pairs, csr)
+
+    deltas = benchmark(pair_row_gains, lvl.labels, rows, 1)
+    full = batch_pair_deltas(lvl.labels, pairs, csr, 1, sibling_pair_weights(lvl, pairs))
+    assert np.array_equal(deltas, full)
+
+
+def test_bench_pair_deltas_full_csr(benchmark, workload):
+    """The same gains summed over every CSR row (the oracle)."""
     ga, _, _, app = workload
     lvl = make_finest_level(ga.edge_arrays(), app.labels.copy())
     csr = level_csr(lvl)
@@ -232,6 +247,17 @@ def test_bench_wide_contraction(benchmark, wide_workload):
 
     coarse = benchmark(run)
     assert coarse.n <= ga.n
+
+
+def test_bench_wide_contraction_patched(benchmark, wide_workload):
+    """A contracted level that merges few vertices: its CSR is patched."""
+    ga, _, _, app = wide_workload
+    perm = np.random.default_rng(6).permutation(app.dim)
+    finest = make_finest_level(ga.edge_arrays(), permute_bits(app.labels, perm))
+    lvl = contract_level(finest)
+
+    coarse = benchmark(contract_level, lvl)
+    assert coarse.edges is None  # patched levels keep no edge list
 
 
 def test_bench_wide_permute_labels(benchmark, wide_workload):

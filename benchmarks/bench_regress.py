@@ -18,9 +18,11 @@ making it usable as a CI smoke gate.
 The ``wide_hierarchy`` entry times one whole hierarchy walk of the
 enhancer (``_one_hierarchy``: permute, swap and contract at every level,
 assemble) on the multi-word workload below, against the same walk on
-the sort-based oracles (``contract_level_reference``,
-``assemble_reference`` and a ``sibling_pairs`` that sorts the labels
-every level); its floor (>= 1.5x) keeps a hierarchy at one label sort.
+the sort-based, whole-level oracles (``contract_level_reference``,
+``assemble_reference``, a ``sibling_pairs`` that sorts the labels every
+level, and swap gains that sum every CSR row and scan every edge for
+the pair weights); its floor (>= 1.5x) keeps a hierarchy at one label
+sort.
 
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
@@ -122,17 +124,31 @@ def _seed_partial_cube_labeling(gp):
 def _sort_based_hierarchy():
     """Run the enhancer's hierarchy walk on the sort-based oracles.
 
-    Contraction and assembly become their ``*_reference`` versions and
-    the swap kernel's sibling pairs sort the labels afresh every level.
+    Contraction and assembly become their ``*_reference`` versions, the
+    swap kernel's sibling pairs sort the labels afresh every level (no
+    shared sibling mask), and its gains come from every CSR row and its
+    pair weights from every edge (``batch_pair_deltas``,
+    ``sibling_pair_weights``).
     """
-    saved = (enhancer.contract_level, enhancer.assemble, kernels.sibling_pairs)
-    enhancer.contract_level = contract_level_reference
-    enhancer.assemble = assemble_reference
-    kernels.sibling_pairs = lambda labels, order=None: saved[2](labels)
+    gather, sort_pairs = kernels.pair_rows, kernels.sibling_pairs
+    patches = [
+        (enhancer, "contract_level", contract_level_reference),
+        (enhancer, "assemble", assemble_reference),
+        (kernels, "sibling_mask", lambda level: None),
+        (kernels, "sibling_pairs", lambda labels, order=None, mask=None: sort_pairs(labels)),
+        (kernels, "pair_rows", lambda level, pairs, csr: gather(level, pairs, csr)._replace(
+            pair_w=kernels.sibling_pair_weights(level, pairs))),
+        (kernels, "pair_row_gains", lambda labels, rows, sign: kernels.batch_pair_deltas(
+            labels, rows.pairs, rows.csr, sign, rows.pair_w)),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, fn in patches:
+        setattr(module, name, fn)
     try:
         yield
     finally:
-        enhancer.contract_level, enhancer.assemble, kernels.sibling_pairs = saved
+        for module, name, fn in saved:
+            setattr(module, name, fn)
 
 
 def _backend_tiers(repeats: int) -> dict:

@@ -107,24 +107,30 @@ class KernelBackend:
     def vertex_lsb_sums(
         self,
         lsb: np.ndarray,
+        rows: np.ndarray,
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
     ) -> np.ndarray:
-        """Per-vertex sum of ``w * (1 - 2*(lsb_u ^ lsb_t))`` over the CSR.
+        """Per-row sum of ``w * (1 - 2*(lsb_u ^ lsb_t))`` over CSR rows.
 
-        ``lsb`` is the 0/1 int64 LSB array (not the labels), so the
-        kernel never sees the word layout.
+        Row ``i`` is vertex ``rows[i]``'s, with the entries
+        ``indptr[i]:indptr[i + 1]`` of ``indices`` / ``weights``: a whole
+        CSR with ``rows = arange(n)``, or rows gathered from one.  A row
+        sums the same way in either, so its sum does not depend on which
+        other rows came along.  ``lsb`` is the 0/1 int64 LSB array of
+        every vertex (not the labels), so the kernel never sees the word
+        layout.
         """
-        # The source LSB is constant within a CSR segment, so instead of
+        # The source LSB is constant within a row, so instead of
         # gathering per-entry source labels:
         #   S[u] = W[u] - 2*T[u]  when lsb_u == 0
         #   S[u] = 2*T[u] - W[u]  when lsb_u == 1
-        # with W the per-vertex weight sums and T the weight sums over
+        # with W the row's weight sum and T the weight sum over
         # neighbors whose LSB is set.
         tw = segment_sum(weights * lsb[indices], indptr)
         wtot = segment_sum(weights, indptr)
-        return np.where(lsb == 1, 2.0 * tw - wtot, wtot - 2.0 * tw)
+        return np.where(lsb[rows] == 1, 2.0 * tw - wtot, wtot - 2.0 * tw)
 
     def greedy_fixpoint(
         self,
@@ -294,8 +300,8 @@ class NumbaBackend(KernelBackend):
             self._kernels = build_kernels(parallel=self._parallel)
         return self._kernels
 
-    def vertex_lsb_sums(self, lsb, indptr, indices, weights):  # pragma: no cover
-        return self._jit()["vertex_lsb_sums"](lsb, indptr, indices, weights)
+    def vertex_lsb_sums(self, lsb, rows, indptr, indices, weights):  # pragma: no cover
+        return self._jit()["vertex_lsb_sums"](lsb, rows, indptr, indices, weights)
 
     def greedy_fixpoint(self, deltas0, own, dst, c0):  # pragma: no cover
         k = int(deltas0.shape[0])

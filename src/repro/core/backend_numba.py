@@ -18,8 +18,9 @@ byte-identity contract of the backend seam (see the equivalence suite in
 Kernels
 -------
 ``vertex_lsb_sums``
-    The O(|E|) inner reduction of the batch swap pass; one independent
-    accumulation per vertex (prange over vertices).
+    The inner reduction of the batch swap pass over the sibling-pair
+    rows it gathers; one independent accumulation per row (prange over
+    rows).
 ``greedy_fixpoint``
     The sequential-sweep fixpoint solve of ``batch_swap_pass``,
     restructured from numpy's masked ``bincount`` into a CSR-style
@@ -65,16 +66,16 @@ def build_kernels(parallel: bool) -> dict:
     """Compile the kernel set for one parallelism flag."""
 
     @njit(cache=True, parallel=parallel)
-    def vertex_lsb_sums(lsb, indptr, indices, weights):
-        n = lsb.shape[0]
+    def vertex_lsb_sums(lsb, rows, indptr, indices, weights):
+        n = rows.shape[0]
         out = np.zeros(n, dtype=np.float64)
-        for u in prange(n):
-            lu = lsb[u]
+        for i in prange(n):
+            lu = lsb[rows[i]]
             acc = 0.0
-            for k in range(indptr[u], indptr[u + 1]):
+            for k in range(indptr[i], indptr[i + 1]):
                 x = lu ^ lsb[indices[k]]
                 acc += weights[k] * (1.0 - 2.0 * x)
-            out[u] = acc
+            out[i] = acc
         return out
 
     @njit(cache=True, parallel=parallel)

@@ -205,6 +205,9 @@ def _one_hierarchy(
         lev = levels[-1]
         do_swaps(lev, int(signs[i - 2]), sweeps=cfg.sweeps_per_level)
         levels.append(contract_level(lev))
+        # Assembly reads only labels and parents; the coarsest level
+        # keeps its adjacency for the optional swap below.
+        lev.edges = lev.csr = None
     if cfg.swap_coarsest and len(levels) >= 2:
         do_swaps(levels[-1], int(signs[dim - 2]), sweeps=cfg.sweeps_per_level)
     new_plab = assemble(levels, dim)

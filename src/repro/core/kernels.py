@@ -21,6 +21,14 @@ and the pair's gain is ``sign * (S[u] + S[v] - c(u, v) - c(v, u))`` where
 (``np.add.reduceat``).  Because siblings always differ in bit 0,
 ``c(u, v) = -w(u, v)``, so the correction is ``+ 2 * w(u, v)``.
 
+A pass reads only the rows of the ``2k`` pair vertices, so it gathers
+them once (:func:`pair_rows`) and takes the sums ``S``, the internal
+pair weights and the pair interactions from the gather.  A gathered row
+holds the same entries in the same order as the CSR row, so every sum
+is bitwise the full-CSR one; :func:`vertex_lsb_sums`,
+:func:`sibling_pair_weights` and :func:`batch_pair_deltas` keep the
+full-CSR forms as oracles.
+
 Greedy-equivalent conflict resolution
 -------------------------------------
 The scalar sweep applies swaps sequentially, so a pair's gain can depend
@@ -46,7 +54,7 @@ which all contracted levels of unit-weight graphs are).
 
 Backend seam
 ------------
-The innermost kernels -- the per-vertex LSB reduction and the fixpoint
+The innermost kernels -- the per-row LSB reduction and the fixpoint
 solve -- dispatch through the :mod:`repro.core.backend` protocol
 (``kernel_backend`` registrations in the unified registry: ``numpy`` /
 ``numba`` / ``numba-parallel``); select and inspect backends there.
@@ -54,12 +62,14 @@ solve -- dispatch through the :mod:`repro.core.backend` protocol
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.backend import current_backend
-from repro.core.contraction import Level
+from repro.core.contraction import Level, sibling_mask
 from repro.utils.bitops import adjacent_siblings, argsort_labels, label_lsb
-from repro.utils.segments import build_csr
+from repro.utils.segments import build_csr, concat_ranges
 
 _ONE = np.uint64(1)
 
@@ -68,7 +78,10 @@ __all__ = [
     "vertex_lsb_sums",
     "sibling_pairs",
     "sibling_pair_weights",
+    "PairRows",
+    "pair_rows",
     "pair_interactions",
+    "pair_row_gains",
     "batch_pair_deltas",
     "pair_delta",
     "batch_swap_pass",
@@ -83,16 +96,21 @@ def level_csr(level: Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A contracted level arrives with its CSR, built by
     :func:`~repro.core.contraction.contract_level`; any other level
-    builds it here on first use and stores it on ``level.csr``.  A level's edge arrays are immutable (swap
-    passes only permute labels), so one build per level suffices no
-    matter how many sweeps or strategies run on it.
+    builds it here on first use and stores it on ``level.csr``.  A
+    level's adjacency is immutable (swap passes only permute labels), so
+    one build per level suffices no matter how many sweeps or strategies
+    run on it.
     """
     if level.csr is None:
-        level.csr = build_csr(level.n, level.us, level.vs, level.ws)
+        level.csr = build_csr(level.n, *level.edge_arrays())
     return level.csr
 
 
-def sibling_pairs(labels: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+def sibling_pairs(
+    labels: np.ndarray,
+    order: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
     """``(k, 2)`` array of vertex pairs whose labels differ only in bit 0.
 
     Pairs are returned in ascending prefix order, each as (the vertex
@@ -101,53 +119,121 @@ def sibling_pairs(labels: np.ndarray, order: np.ndarray | None = None) -> np.nda
     vertex order along which the prefixes ``labels >> 1`` do not
     decrease -- a level's ``Level.order``, which sibling swaps keep
     valid; without it the labels are sorted
-    (:func:`~repro.utils.bitops.argsort_labels`).
+    (:func:`~repro.utils.bitops.argsort_labels`).  ``mask`` is
+    ``adjacent_siblings`` along ``order`` when the caller holds it
+    (:func:`~repro.core.contraction.sibling_mask`).
     """
     if order is None:
         order = argsort_labels(labels)
-    ranked = np.take(labels, order, axis=0)
-    first = np.nonzero(adjacent_siblings(ranked))[0]
+    if mask is None:
+        mask = adjacent_siblings(np.take(labels, order, axis=0))
+    first = np.nonzero(mask)[0]
     a = order[first]
     b = order[first + 1]
-    b_holds_zero = (ranked[first, 0] & _ONE).astype(bool)
+    b_holds_zero = (labels[a, 0] & _ONE).astype(bool)
     return np.stack(
         [np.where(b_holds_zero, b, a), np.where(b_holds_zero, a, b)], axis=1
     )
 
 
 def sibling_pair_weights(level: Level, pairs: np.ndarray) -> np.ndarray:
-    """Weight of the (optional) edge inside each sibling pair.
+    """Weight of the (optional) edges inside each sibling pair, in edge order.
 
     A swap leaves the pair's internal edge invariant, so its contribution
     must be subtracted from the per-vertex sums; pairs without an internal
-    edge get 0.  Works off the level's undirected edge arrays: an edge is
+    edge get 0.  Scans the level's undirected edge arrays: an edge is
     internal to a pair iff its endpoints are exactly the pair's two
-    members (no label comparison needed).
+    members (no label comparison needed).  The oracle of
+    :func:`pair_rows`' weights, and their fallback when a level built
+    from raw edge arrays holds several edges inside one pair.
     """
     k = pairs.shape[0]
     out = np.zeros(k, dtype=np.float64)
-    if k == 0 or level.us.size == 0:
+    us, vs, ws = level.edge_arrays()
+    if k == 0 or us.size == 0:
         return out
     pair_of = np.full(level.n, -1, dtype=np.int64)
     local = np.arange(k, dtype=np.int64)
     pair_of[pairs[:, 0]] = local
     pair_of[pairs[:, 1]] = local
-    eu = pair_of[level.us]
-    internal = np.nonzero((eu >= 0) & (eu == pair_of[level.vs]))[0]
+    eu = pair_of[us]
+    internal = np.nonzero((eu >= 0) & (eu == pair_of[vs]))[0]
     if internal.size == 0:
         return out
-    # Levels merge parallel edges, but accumulate defensively anyway.
-    np.add.at(out, eu[internal], level.ws[internal])
+    np.add.at(out, eu[internal], ws[internal])
     return out
 
 
+class PairRows(NamedTuple):
+    """The CSR rows of a level's sibling-pair vertices, gathered once.
+
+    Row ``i`` of the gather is vertex ``verts[i]``: the first vertex of
+    pair ``i`` for ``i < k``, the second vertex of pair ``i - k`` after
+    that.  Its entries ``indptr[i]:indptr[i + 1]`` are that vertex's CSR
+    row in CSR order.  Per entry, ``src`` is the row's vertex and
+    ``own`` its pair, ``nbrs`` and ``wts`` are the neighbour and the
+    weight, and ``dst`` is the neighbour's pair (-1 outside every pair).
+    ``pair_w`` is the weight inside each pair, and ``pairs`` and ``csr``
+    are what was gathered.
+    """
+
+    pairs: np.ndarray
+    csr: tuple
+    verts: np.ndarray
+    indptr: np.ndarray
+    src: np.ndarray
+    own: np.ndarray
+    nbrs: np.ndarray
+    wts: np.ndarray
+    dst: np.ndarray
+    pair_w: np.ndarray
+
+
+def pair_rows(
+    level: Level, pairs: np.ndarray, csr: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> PairRows:
+    """Gather the CSR rows of ``pairs``' vertices (see :class:`PairRows`).
+
+    A swap pass reads nothing else of the level.  The internal pair
+    weights come from the first vertices' rows: an entry whose neighbour
+    lies in its own pair is the pair's internal edge.  The enhancer's
+    levels hold at most one per pair (contraction merges parallel edges,
+    and a ``Graph`` has none); a level built from raw edge arrays may
+    hold several, and then :func:`sibling_pair_weights` adds them in
+    edge order, which the rows do not record.
+    """
+    indptr, indices, weights = csr
+    k = pairs.shape[0]
+    local = np.arange(k, dtype=np.int64)
+    pair_of = np.full(level.n, -1, dtype=np.int64)
+    pair_of[pairs[:, 0]] = local
+    pair_of[pairs[:, 1]] = local
+    verts = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    starts = indptr[verts]
+    counts = indptr[verts + 1] - starts
+    row_ptr = np.zeros(2 * k + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    at = concat_ranges(starts, counts)
+    nbrs = indices[at]
+    own = np.repeat(np.concatenate([local, local]), counts)
+    dst = pair_of[nbrs]
+    wts = weights[at]
+    head = int(row_ptr[k])
+    internal = np.flatnonzero(dst[:head] == own[:head])
+    holder = own[internal]  # non-decreasing: rows come in pair order
+    if np.any(holder[1:] == holder[:-1]):
+        pair_w = sibling_pair_weights(level, pairs)
+    else:
+        pair_w = np.zeros(k, dtype=np.float64)
+        pair_w[holder] += wts[internal]  # 0.0 + w, as np.add.at adds it
+    src = np.repeat(verts, counts)
+    return PairRows(pairs, csr, verts, row_ptr, src, own, nbrs, wts, dst, pair_w)
+
+
 def pair_interactions(
-    pairs: np.ndarray,
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n: int,
-    ordered: bool = False,
+    rows: PairRows, ordered: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR entries whose endpoints lie in two *different* sibling pairs.
+    """Gathered entries whose endpoints lie in two *different* sibling pairs.
 
     Returns ``(own, dst, src, nbr, wt)`` arrays, one element per directed
     CSR edge ``src -> nbr`` with ``src`` in pair ``own`` and ``nbr`` in
@@ -164,34 +250,16 @@ def pair_interactions(
     the greedy fixpoint needs, where corrections only flow from
     earlier-ordered pairs.
     """
-    indptr, indices, weights = csr
-    k = pairs.shape[0]
-    pu = pairs[:, 0]
-    pv = pairs[:, 1]
-    pair_of = np.full(n, -1, dtype=np.int64)
-    local = np.arange(k, dtype=np.int64)
-    pair_of[pu] = local
-    pair_of[pv] = local
-    verts = np.concatenate([pu, pv])
-    starts = indptr[verts]
-    counts = indptr[verts + 1] - starts
-    total = int(counts.sum())
-    excl = np.zeros(2 * k, dtype=np.int64)
-    np.cumsum(counts[:-1], out=excl[1:])
-    ks = np.repeat(starts - excl, counts) + np.arange(total, dtype=np.int64)
-    own_full = np.repeat(np.concatenate([local, local]), counts)
-    nbrs = indices[ks]
-    dst_full = pair_of[nbrs]
     if ordered:
-        keep = (dst_full >= 0) & (dst_full < own_full)
+        keep = (rows.dst >= 0) & (rows.dst < rows.own)
     else:
-        keep = (dst_full >= 0) & (dst_full != own_full)
+        keep = (rows.dst >= 0) & (rows.dst != rows.own)
     return (
-        own_full[keep],
-        dst_full[keep],
-        np.repeat(verts, counts)[keep],
-        nbrs[keep],
-        weights[ks[keep]],
+        rows.own[keep],
+        rows.dst[keep],
+        rows.src[keep],
+        rows.nbrs[keep],
+        rows.wts[keep],
     )
 
 
@@ -206,13 +274,27 @@ def vertex_lsb_sums(
 ) -> np.ndarray:
     """Per-vertex sum of LSB edge contributions ``w * (1 - 2*((l_u^l_t)&1))``.
 
-    One gather + one segment reduction over the whole CSR -- this is the
-    O(|E|) inner kernel of the batch swap pass.  Only the LSB of each
-    label matters, so the labels reduce to an int64 bit array before any
+    One gather + one segment reduction over the whole CSR: the oracle of
+    :func:`pair_row_gains`' row sums.  Only the LSB of each label
+    matters, so the labels reduce to an int64 bit array before any
     arithmetic (and before the backend dispatch).
     """
     b = label_lsb(labels)
-    return current_backend().vertex_lsb_sums(b, indptr, indices, weights)
+    rows = np.arange(b.shape[0], dtype=np.int64)
+    return current_backend().vertex_lsb_sums(b, rows, indptr, indices, weights)
+
+
+def pair_row_gains(labels: np.ndarray, rows: PairRows, sign: int) -> np.ndarray:
+    """Swap gains of the gathered pairs, from their ``2k`` rows alone.
+
+    :func:`batch_pair_deltas` over the whole CSR, bit for bit: each row
+    adds the same entries in the same order.
+    """
+    k = rows.pair_w.shape[0]
+    sums = current_backend().vertex_lsb_sums(
+        label_lsb(labels), rows.verts, rows.indptr, rows.nbrs, rows.wts
+    )
+    return sign * (sums[:k] + sums[k:] + 2.0 * rows.pair_w)
 
 
 def batch_pair_deltas(
@@ -226,7 +308,8 @@ def batch_pair_deltas(
 
     Equals ``[pair_delta(labels, *csr, u, v, sign) for u, v in pairs]``
     up to floating-point associativity (exactly, for integer-valued
-    weights).  ``pair_w`` comes from :func:`sibling_pair_weights`.
+    weights).  ``pair_w`` comes from :func:`sibling_pair_weights`.  Sums
+    over every CSR row: the oracle of :func:`pair_row_gains`.
     """
     indptr, indices, weights = csr
     sums = vertex_lsb_sums(labels, indptr, indices, weights)
@@ -286,36 +369,34 @@ def batch_swap_pass(
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +-1, got {sign}")
     labels = level.labels
-    if labels.shape[0] < 2 or level.us.size == 0:
+    if labels.shape[0] < 2:
         return 0, 0.0
     if csr is None:
         csr = level_csr(level)
-    indptr, indices, weights = csr
-    n = labels.shape[0]
+    if csr[1].size == 0:
+        return 0, 0.0
     n_swaps = 0
     total_delta = 0.0
     # A swap exchanges labels *within* a pair, so the pair set, its prefix
-    # order, the per-vertex pair index and the whole pair-interaction
-    # layout are invariant across sweeps -- build them once.  Only the
+    # order, the gathered pair rows and the whole pair-interaction layout
+    # are invariant across sweeps -- build them once.  Only the
     # labels-dependent values (gains and contribution signs) change.
-    pairs = sibling_pairs(labels, level.order)
+    pairs = sibling_pairs(labels, level.order, sibling_mask(level))
     k = pairs.shape[0]
     if k == 0:
         return 0, 0.0
     pu = pairs[:, 0]
     pv = pairs[:, 1]
-    pair_w = sibling_pair_weights(level, pairs)
+    rows = pair_rows(level, pairs, csr)
     # Pair-interaction list restricted to entries (a, t) with ``a`` in
     # pair ``own`` and ``t`` in an *earlier-ordered* pair ``dst`` --
     # exactly the edges whose contribution flips when pair ``dst`` swaps
     # before pair ``own`` is evaluated.
-    own, dst, src_keep, nbrs_keep, w_keep = pair_interactions(
-        pairs, csr, n, ordered=True
-    )
+    own, dst, src_keep, nbrs_keep, w_keep = pair_interactions(rows, ordered=True)
     backend = current_backend()
     for _ in range(max(1, sweeps)):
         # Start-of-sweep gains for every pair in one vectorized pass.
-        deltas0 = batch_pair_deltas(labels, pairs, csr, sign, pair_w)
+        deltas0 = pair_row_gains(labels, rows, sign)
         b = label_lsb(labels)
         c0 = sign * (w_keep * (1.0 - 2.0 * (b[src_keep] ^ b[nbrs_keep])))
         # Solve the sequential-sweep fixpoint by synchronous iteration:

@@ -16,8 +16,9 @@ with negative delta, in ascending label-prefix order, optionally repeating
 until stable.
 
 The production path is the vectorized batch kernel in
-:mod:`repro.core.kernels` (one CSR gather + segment reduction for *all*
-pairs, conflict-free commit rounds equivalent to the sequential sweep).
+:mod:`repro.core.kernels` (one gather of the pair vertices' CSR rows +
+segment reduction for *all* pairs, conflict-free commit rounds
+equivalent to the sequential sweep).
 The original scalar sweep is kept as :func:`swap_pass_reference` -- it is
 the ground truth for the equivalence tests and the "before" side of the
 kernel benchmarks.
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.contraction import Level
+from repro.core.contraction import Level, sibling_mask
 from repro.core.kernels import (
     batch_pair_deltas,
     batch_swap_pass,
     level_csr,
     pair_delta,
     pair_interactions,
+    pair_row_gains,
+    pair_rows,
     sibling_pair_weights,
     sibling_pairs,
 )
@@ -114,9 +117,12 @@ def kl_swap_pass(
     ``total_delta <= 0``.
 
     Gain maintenance is fully vectorized on the batch kernels: the
-    initial table comes from :func:`~repro.core.kernels.batch_pair_deltas`
+    initial table comes from :func:`~repro.core.kernels.pair_row_gains`
     and every execution updates the affected gains through the
-    precomputed :func:`~repro.core.kernels.pair_interactions` edge list.
+    precomputed :func:`~repro.core.kernels.pair_interactions` edge list,
+    both read off one gather of the pair rows per sweep (the pairs'
+    orientation follows the labels, and the gain updates add in its
+    order).
     Within one sequence a vertex LSB flips at most once, so the gain pair
     ``q`` sees is exactly ``d_q^0 - 2 * sum over executed pairs j of the
     start-of-sweep contributions between q and j`` -- no per-pair
@@ -131,24 +137,26 @@ def kl_swap_pass(
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +-1, got {sign}")
     labels = level.labels
-    if labels.shape[0] < 2 or level.us.size == 0:
+    if labels.shape[0] < 2:
         return 0, 0.0
     if csr is None:
         csr = level_csr(level)
+    if csr[1].size == 0:
+        return 0, 0.0
     kept_swaps = 0
     kept_delta = 0.0
     for _ in range(max(1, sweeps)):
-        pairs = sibling_pairs(labels, level.order)
+        pairs = sibling_pairs(labels, level.order, sibling_mask(level))
         k = pairs.shape[0]
         if k == 0:
             break
         done = np.zeros(k, dtype=bool)
-        pair_w = sibling_pair_weights(level, pairs)
-        current = batch_pair_deltas(labels, pairs, csr, sign, pair_w)
+        rows = pair_rows(level, pairs, csr)
+        current = pair_row_gains(labels, rows, sign)
         # Interaction list grouped by the *swapping* pair: when pair j
         # executes, entry (own=q, dst=j) contributes -2 * c0 to q's gain,
         # with c0 the signed start-of-sweep LSB contribution of its edge.
-        own, dst, src, nbr, wt = pair_interactions(pairs, csr, labels.shape[0])
+        own, dst, src, nbr, wt = pair_interactions(rows)
         b = label_lsb(labels)
         c0 = sign * (wt * (1.0 - 2.0 * (b[src] ^ b[nbr])))
         by_dst = counting_argsort(dst, k)

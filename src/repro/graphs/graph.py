@@ -21,6 +21,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.utils.segments import concat_ranges
 
 
 class Graph:
@@ -194,12 +195,10 @@ class Graph:
         k = vertices.shape[0]
         inv = np.full(self.n, -1, dtype=np.int64)
         inv[vertices] = np.arange(k, dtype=np.int64)
-        # Gather the rows of ``vertices`` in that order: row i's CSR span
-        # starts at indptr[vertices[i]] and lands at offset[i] in ``pos``.
+        # Gather the rows of ``vertices`` in that order.
         starts = self.indptr[vertices]
         counts = self.indptr[vertices + 1] - starts
-        offset = np.cumsum(counts) - counts
-        pos = np.repeat(starts - offset, counts) + np.arange(int(counts.sum()))
+        pos = concat_ranges(starts, counts)
         nbrs = inv[self.indices[pos]]
         keep = nbrs >= 0
         row = np.repeat(np.arange(k, dtype=np.int64), counts)

@@ -152,9 +152,25 @@ class GraphSpec:
                 f"unknown instance {self.instance!r}; known: "
                 f"{', '.join(instance_names())}"
             )
+        # The sizing fields reach scaled_n, which divides by the divisor
+        # and clips to [n_min, n_max]; normalized so the cache key is too.
+        for name in ("seed", "divisor", "n_min", "n_max"):
+            object.__setattr__(self, name, wire_int(getattr(self, name), name))
+        if self.divisor < 1:
+            raise ConfigurationError(f"divisor must be >= 1, got {self.divisor}")
+        if self.n_min < 1:
+            raise ConfigurationError(f"n_min must be >= 1, got {self.n_min}")
+        if self.n_max < self.n_min:
+            raise ConfigurationError(
+                f"n_max must be >= n_min ({self.n_min}), got {self.n_max}"
+            )
         if self.kind == "edges" and self.n is None:
             raise ConfigurationError("inline graph spec needs a vertex count 'n'")
         for i, edge in enumerate(self.edges):
+            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+                raise ConfigurationError(
+                    f"graph edge {i} must be [u, v] or [u, v, weight], got {edge!r}"
+                )
             for endpoint in edge[:2]:
                 wire_int(endpoint, f"graph edge {i} endpoint")
 
@@ -209,7 +225,9 @@ class GraphSpec:
             )
         body = dict(payload)
         if "edges" in body:
-            body["edges"] = tuple(tuple(e) for e in body["edges"])
+            body["edges"] = tuple(
+                tuple(e) if isinstance(e, list) else e for e in body["edges"]
+            )
         return cls(**body)
 
 

@@ -89,6 +89,18 @@ def run_sums(sorted_values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return sums
 
 
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``.
+
+    With ``starts = indptr[rows]`` and ``counts = indptr[rows + 1] -
+    starts`` these are the positions of a gather of CSR rows, in row
+    order.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total, dtype=np.int64)
+
+
 def _check_indptr(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     indptr = np.asarray(indptr, dtype=np.int64)
     if indptr.ndim != 1 or indptr.shape[0] < 1:

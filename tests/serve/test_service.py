@@ -125,6 +125,57 @@ class TestNonIntegerWireValues:
         assert status == 200
 
 
+class TestMalformedGraphSpecs:
+    """Malformed inline edges and generate sizing answer a 400 naming the field."""
+
+    def _map(self, service, graph):
+        body = {"topology": "grid4x4", "graph": graph, "seed": 1, "config": {"nh": 1}}
+        return asyncio.run(service.handle("map", body))
+
+    def _assert_bad(self, service, graph, field):
+        status, reply, _ = self._map(service, graph)
+        assert status == 400 and reply["error"] == "bad_request", reply
+        assert field in reply["message"]
+
+    def test_edge_with_one_entry(self, service):
+        graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 1], [2]]}
+        self._assert_bad(service, graph, "graph edge 1")
+
+    def test_edge_with_four_entries(self, service):
+        graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 1, 99], [1, 2, 1], [2, 3, 1]]}
+        self._assert_bad(service, graph, "graph edge 0")
+        graph["edges"][0] = [0, 1]
+        status, _, _ = self._map(service, graph)
+        assert status == 200
+
+    def _generate(self, **sizing):
+        return {"kind": "generate", "instance": "p2p-Gnutella", "seed": 3} | sizing
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_seed(self, service, seed):
+        self._assert_bad(service, self._generate(seed=seed), "seed")
+
+    @pytest.mark.parametrize("divisor", [0, -3, 2.5, True])
+    def test_divisor(self, service, divisor):
+        self._assert_bad(service, self._generate(divisor=divisor), "divisor")
+
+    @pytest.mark.parametrize("n_min", [0, 100.5, False])
+    def test_n_min(self, service, n_min):
+        self._assert_bad(service, self._generate(n_min=n_min), "n_min")
+
+    @pytest.mark.parametrize("n_max", [100, 150.5])
+    def test_n_max(self, service, n_max):
+        graph = self._generate(n_min=128, n_max=n_max)
+        self._assert_bad(service, graph, "n_max")
+
+    def test_loadgen_sizing_and_integral_floats_stay_valid(self, service):
+        graph = self._generate(divisor=1024.0, n_min=128, n_max=192.0)
+        status, reply, _ = self._map(service, graph)
+        assert status == 200
+        plain = self._map(service, self._generate(divisor=1024, n_min=128, n_max=192))
+        assert reply["mu"] == plain[1]["mu"]
+
+
 class TestOps:
     def test_map_round_trip_matches_direct(self, service):
         body = _map_body(seed=5)
