@@ -31,7 +31,10 @@ from repro.partialcube.djokovic import (
     djokovic_classes,
     partial_cube_labeling,
 )
+from repro.partitioning.kway_refine import kway_refine, kway_refine_reference
 from repro.utils.bitops import label_sort_keys, permute_bits
+
+from bench_regress import perturbed_partition
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,15 @@ def test_bench_permute_labels(benchmark, workload):
     perm = rng.permutation(app.dim)
     out = benchmark(permute_bits, app.labels, perm)
     assert out.shape == app.labels.shape
+
+
+def test_bench_kway_refine(benchmark, workload):
+    """The production path: block sums in a dict over Python lists, on
+    ``bench_regress``'s perturbed 64-block partition."""
+    part = perturbed_partition(workload[0], 64)
+    out = benchmark(kway_refine, part, 0.03)
+    want = kway_refine_reference(part, 0.03)
+    assert np.array_equal(out.assignment, want.assignment)
 
 
 # ----------------------------------------------------------------------

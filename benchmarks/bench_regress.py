@@ -27,8 +27,10 @@ sort.
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
 (``fm_refine_reference``, ``grow_bisection_reference``) on the same BA
-graph; their floors (>= 3x, >= 2x) keep the move loops off per-vertex
-numpy.
+graph; the ``kway_refine`` entry times k-way refinement on Python lists
+against its numpy oracle (``kway_refine_reference``) on a perturbed
+64-block partition of that graph.  Their floors (>= 3x, >= 2x, >= 3x)
+keep the move loops off per-vertex numpy.
 
 Labels have one representation, ``(n, W)`` ``uint64``.  The
 ``swap_pass`` and ``partial_cube_labeling`` entries run one-word labels
@@ -74,6 +76,8 @@ from repro.partialcube.djokovic import (
 )
 from repro.partitioning.fm import fm_refine, fm_refine_reference
 from repro.partitioning.initial import grow_bisection, grow_bisection_reference
+from repro.partitioning.kway import partition_kway
+from repro.partitioning.kway_refine import kway_refine, kway_refine_reference
 from repro.utils.segments import build_csr
 
 OUTPUT = Path(__file__).parent / "BENCH_kernels.json"
@@ -87,6 +91,7 @@ FLOORS = {
     "wide_hierarchy": 1.5,
     "fm_refine": 3.0,
     "grow_bisection": 2.0,
+    "kway_refine": 3.0,
     # compiled tiers (present only where numba imports): the parallel
     # backend must beat serial numba on the big workloads
     "numba_parallel_swap_pass": 1.1,
@@ -112,6 +117,17 @@ def _workload():
     rng.shuffle(mu)
     app = build_application_labeling(ga, pc, mu, seed=3)
     return ga, gp, app
+
+
+def perturbed_partition(ga, k: int):
+    """A k-way partition of ``ga`` with 10% of its vertices moved at random,
+    so k-way refinement has boundary vertices worth moving."""
+    part = partition_kway(ga, k, seed=6, kway_passes=0)
+    rng = np.random.default_rng(7)
+    assign = part.assignment.copy()
+    moved = rng.random(ga.n) < 0.1
+    assign[moved] = rng.integers(0, k, int(moved.sum()))
+    return part.with_assignment(assign)
 
 
 def _seed_partial_cube_labeling(gp):
@@ -374,6 +390,17 @@ def run(repeats: int = 5) -> dict:
             lambda: grow_bisection_reference(ga, total / 2, seed=4), repeats
         ),
         "after_s": _best_of(lambda: grow_bisection(ga, total / 2, seed=4), repeats),
+    }
+    part = perturbed_partition(ga, 64)
+    if not np.array_equal(
+        kway_refine(part, 0.03).assignment, kway_refine_reference(part, 0.03).assignment
+    ):
+        raise AssertionError("k-way refinement diverged from the reference")
+    results["kway_refine"] = {
+        "workload": "BA n=2000 m=4, k=64 partition with 10% of vertices "
+        "moved at random, 3 passes",
+        "before_s": _best_of(lambda: kway_refine_reference(part, 0.03), repeats),
+        "after_s": _best_of(lambda: kway_refine(part, 0.03), repeats),
     }
 
     # --- edge_arrays caching --------------------------------------------

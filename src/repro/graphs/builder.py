@@ -81,8 +81,14 @@ def _csr_from_coo(
     ws: np.ndarray,
     vertex_weights: np.ndarray | None,
     name: str,
+    validate: bool = True,
 ) -> Graph:
-    """Symmetrize, deduplicate and pack a COO edge list into CSR."""
+    """Symmetrize, deduplicate and pack a COO edge list into CSR.
+
+    ``validate=False`` skips ``Graph._validate``: for a caller whose
+    endpoints are in ``range(n)``, with no self-loops and non-negative
+    weights, the output is a valid graph by construction.
+    """
     if us.size == 0:
         return Graph(
             np.zeros(n + 1, dtype=np.int64),
@@ -90,6 +96,7 @@ def _csr_from_coo(
             np.empty(0, dtype=np.float64),
             vertex_weights,
             name=name,
+            _validate=validate,
         )
     # Canonical key per undirected edge, merge duplicates by summing.
     lo = np.minimum(us, vs)
@@ -111,7 +118,7 @@ def _csr_from_coo(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return Graph(indptr, dst, wgt, vertex_weights, name=name)
+    return Graph(indptr, dst, wgt, vertex_weights, name=name, _validate=validate)
 
 
 def from_edges(

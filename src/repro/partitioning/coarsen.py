@@ -5,6 +5,12 @@ map: parallel edges merge by weight summation, intra-group edges vanish,
 vertex weights add up.  The same primitive serves the partitioner (with
 matchings) and the mapping layer (building communication graphs from
 partitions), so it lives here once and is reused.
+
+A contracted graph is valid by construction, so it is built without
+:meth:`Graph._validate` or ``from_arrays``'s checks: the builder
+symmetrizes the coarse edges, intra-group edges are dropped before it
+sees them, and every coarse weight is a sum of non-negative fine weights.
+The one check left is that ``coarse_of`` lies in ``range(n_coarse)``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.builder import from_arrays
+from repro.graphs.builder import _csr_from_coo
 from repro.graphs.graph import Graph
 
 
@@ -31,18 +37,21 @@ def contract_graph(g: Graph, coarse_of: np.ndarray, n_coarse: int, name: str = "
     coarse_of = np.asarray(coarse_of, dtype=np.int64)
     if coarse_of.shape != (g.n,):
         raise ValueError(f"coarse_of must have shape ({g.n},)")
+    if g.n and (coarse_of.min() < 0 or coarse_of.max() >= n_coarse):
+        raise ValueError(f"coarse_of must lie in range(n_coarse) = range({n_coarse})")
     us, vs, ws = g.edge_arrays()
     cu, cv = coarse_of[us], coarse_of[vs]
     keep = cu != cv
     vertex_weights = np.zeros(n_coarse, dtype=np.float64)
     np.add.at(vertex_weights, coarse_of, g.vertex_weights)
-    return from_arrays(
+    return _csr_from_coo(
         n_coarse,
         cu[keep],
         cv[keep],
         ws[keep],
-        vertex_weights=vertex_weights,
-        name=name or (f"{g.name}|coarse" if g.name else "coarse"),
+        vertex_weights,
+        name or (f"{g.name}|coarse" if g.name else "coarse"),
+        validate=False,
     )
 
 

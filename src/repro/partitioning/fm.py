@@ -9,12 +9,17 @@ Gains are kept incrementally, as Fiduccia & Mattheyses (1982) define
 them.  A pass computes every vertex's gain in one CSR pass; after ``v``
 moves off side ``s``, each unlocked neighbour ``u`` gains ``+2 w(u, v)``
 if it sits on ``s`` (the edge is now cut) and ``-2 w(u, v)`` otherwise,
-and is pushed again.  The heap sees exactly the tuples the fresh-sum
-implementation pushes, so moves, tie-breaks and results are the same --
-provided every partial sum is an exact float.  :func:`exact_gain_weights`
-is that predicate (integral edge weights, total below ``2**53``); a graph
-that fails it runs :func:`fm_refine_reference`, the fresh-sum
-implementation kept as the oracle the fast path is tested against.
+and is pushed again.  The heap pops in the order of the fresh-sum
+implementation's ``(-gain, v)`` tuples, so moves, tie-breaks and results
+are the same -- provided every partial sum is an exact float.
+:func:`exact_gain_weights` is that predicate (integral edge weights,
+total below ``2**53``); a graph that fails it runs
+:func:`fm_refine_reference`, the fresh-sum implementation kept as the
+oracle the fast path is tested against.  On such a graph every gain is
+an integer, so the fast path keeps gains as Python ints and pushes the
+single int ``-gain * n + v``: with ``0 <= v < n`` it orders exactly as
+``(-gain, v)`` does, and ``divmod(key, n)`` gives back ``(-gain, v)``
+(Python's floor division makes that hold for negative keys too).
 
 This is the refinement engine both of the multilevel bisection
 (:mod:`~repro.partitioning.multilevel`) and -- run on the communication
@@ -75,10 +80,14 @@ def fm_refine(
     totals = np.zeros(2, dtype=np.float64)
     np.add.at(totals, assign, g.vertex_weights)
 
-    # The CSR (weights doubled: the update step) and the per-vertex state
-    # as lists, taken once per call: the move loop reads one scalar at a
-    # time, which numpy makes slow.
-    csr = (g.indptr.tolist(), g.indices.tolist(), (2.0 * g.weights).tolist())
+    # The CSR (weights doubled as ints: the update step) and the
+    # per-vertex state as lists, taken once per call: the move loop reads
+    # one scalar at a time, which numpy makes slow.
+    csr = (
+        g.indptr.tolist(),
+        g.indices.tolist(),
+        (2.0 * g.weights).astype(np.int64).tolist(),
+    )
     us = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     side = assign.tolist()
     side_weight = totals.tolist()
@@ -99,27 +108,36 @@ def _fm_pass(
     vw: list[float],
     caps: tuple[float, float],
 ) -> bool:
-    """One incremental pass; updates ``side`` and ``side_weight`` in place."""
+    """One incremental pass; updates ``side`` and ``side_weight`` in place.
+
+    Gains are ints and a heap entry is the int ``v - gain[v] * n``, so
+    ``key % n`` is ``v``; an entry is stale unless it equals the key ``v``
+    would push now (``gain[v] == -(key // n)``).
+    """
     indptr, adj, wt2 = csr
+    n = g.n
     a = np.asarray(side, dtype=np.int64)
     cross = a[us] != a[g.indices]
-    gain = np.bincount(
-        us, weights=np.where(cross, g.weights, -g.weights), minlength=g.n
-    ).tolist()
+    gain = (
+        np.bincount(us, weights=np.where(cross, g.weights, -g.weights), minlength=n)
+        .astype(np.int64)
+        .tolist()
+    )
     # Seed with boundary vertices only: interior moves never help first.
-    heap = [(-gain[v], v, v, gain[v]) for v in np.unique(us[cross]).tolist()]
+    heap = [v - gain[v] * n for v in np.unique(us[cross]).tolist()]
     if not heap:
         return False
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    locked = [False] * g.n
+    locked = [False] * n
     moves: list[int] = []
-    cum_gain = 0.0
-    best_prefix, best_gain = 0, 0.0
+    cum_gain = 0
+    best_prefix, best_gain = 0, 0
     while heap:
-        neg_g, _, v, g_rec = heappop(heap)
-        if locked[v] or gain[v] != g_rec:
+        key = heappop(heap)
+        v = key % n
+        if locked[v] or key != v - gain[v] * n:
             continue
         s = side[v]
         target = 1 - s
@@ -130,9 +148,9 @@ def _fm_pass(
         side_weight[s] -= vw[v]
         side_weight[target] += vw[v]
         side[v] = target
-        cum_gain += -neg_g
+        cum_gain += gain[v]
         moves.append(v)
-        if cum_gain > best_gain + 1e-12:
+        if cum_gain > best_gain:
             best_gain = cum_gain
             best_prefix = len(moves)
         lo, hi = indptr[v], indptr[v + 1]
@@ -147,8 +165,7 @@ def _fm_pass(
         # half-updated gain.
         for u in nbrs:
             if not locked[u]:
-                gu = gain[u]
-                heappush(heap, (-gu, u, u, gu))
+                heappush(heap, u - gain[u] * n)
 
     # Roll back past the best prefix.
     for v in moves[best_prefix:]:
@@ -156,7 +173,7 @@ def _fm_pass(
         side_weight[s] -= vw[v]
         side_weight[1 - s] += vw[v]
         side[v] = 1 - s
-    return best_gain > 1e-12
+    return best_gain > 0
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -118,6 +119,24 @@ def wire_int(value, field: str) -> int:
     raise ConfigurationError(f"{field} must be an integer, got {value!r}")
 
 
+def check_wire_weight(value, field: str) -> None:
+    """Check an edge weight taken off the wire: a finite real number >= 0.
+
+    A bool, a string, ``null``, a NaN, an infinity or a negative number
+    raises ``ConfigurationError`` naming ``field``.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, bool
+    ):
+        try:
+            weight = float(value)
+        except OverflowError:  # an int beyond the float range
+            weight = math.inf
+        if math.isfinite(weight) and weight >= 0:
+            return
+    raise ConfigurationError(f"{field} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Deterministic description of an application graph.
@@ -166,6 +185,10 @@ class GraphSpec:
             )
         if self.kind == "edges" and self.n is None:
             raise ConfigurationError("inline graph spec needs a vertex count 'n'")
+        if self.n is not None:
+            object.__setattr__(self, "n", wire_int(self.n, "graph n"))
+            if self.n < 0:
+                raise ConfigurationError(f"graph n must be >= 0, got {self.n}")
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
                 raise ConfigurationError(
@@ -173,6 +196,8 @@ class GraphSpec:
                 )
             for endpoint in edge[:2]:
                 wire_int(endpoint, f"graph edge {i} endpoint")
+            if len(edge) == 3:
+                check_wire_weight(edge[2], f"graph edge {i} weight")
 
     def build(self) -> Graph:
         if self.kind == "generate":

@@ -29,6 +29,17 @@ class TestContractGraph:
         with pytest.raises(ValueError):
             contract_graph(triangle, np.asarray([0, 1]), 2)
 
+    def test_negative_coarse_id_on_isolated_vertex(self):
+        # Path 0-1-2 plus isolated vertex 3: -1 must not wrap onto vertex 1.
+        g = from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"range\(n_coarse\)"):
+            contract_graph(g, np.asarray([0, 0, 1, -1]), 2)
+
+    def test_coarse_id_past_n_coarse_on_isolated_vertex(self):
+        g = from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"range\(n_coarse\)"):
+            contract_graph(g, np.asarray([0, 0, 1, 5]), 2)
+
     def test_total_cross_weight_preserved(self, ba_graph):
         rng = np.random.default_rng(0)
         groups = rng.integers(0, 10, ba_graph.n)

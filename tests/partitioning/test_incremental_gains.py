@@ -1,9 +1,11 @@
-"""Differential tests: incremental partitioner paths against their oracles.
+"""Differential tests: partitioner fast paths against their oracles.
 
 FM and greedy growing keep gains incrementally on graphs with exact
 (integral) weights and must then match the fresh-sum reference
 implementations bit for bit; any other graph must run the reference.
-``Graph.subgraph`` is checked against a per-vertex loop kept here.
+k-way refinement on Python lists must match its numpy reference on any
+weights.  ``Graph.subgraph`` is checked against a per-vertex loop kept
+here, and ``contract_graph`` against the ``from_arrays`` construction.
 """
 
 import numpy as np
@@ -13,20 +15,28 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs.builder import from_arrays, from_edges
 from repro.graphs.graph import Graph
 from repro.partitioning import fm, initial
+from repro.partitioning.coarsen import contract_graph
 from repro.partitioning.fm import exact_gain_weights, fm_refine, fm_refine_reference
 from repro.partitioning.initial import grow_bisection, grow_bisection_reference
+from repro.partitioning.kway_refine import kway_refine, kway_refine_reference
+from repro.partitioning.partition import Partition
 
 WEIGHTS = {
     "unit": st.just(1),
     "small": st.integers(0, 5),  # zero-weight edges included
     "big": st.integers(0, 10**6),
 }
+#: one-decimal floats: sums that depend on the order of additions
+FLOAT_WEIGHTS = WEIGHTS | {"tenths": st.integers(0, 50).map(lambda x: x / 10)}
+#: integers up to 2**40: FM's heap keys ``-gain * n + v`` get large
+HUGE_WEIGHTS = {"huge": st.integers(0, 2**40)}
 
 
 @st.composite
-def graphs(draw, max_n=40):
-    """Integral-weight graphs: isolated vertices, several components,
-    zero-weight edges, heavy edges, non-unit vertex weights, n = 1, 2."""
+def graphs(draw, max_n=40, weights=WEIGHTS):
+    """Graphs with isolated vertices, several components, zero-weight
+    edges, heavy edges, non-unit vertex weights, n = 1, 2; edge weights
+    from one of the ``weights`` strategies (integral by default)."""
     n = draw(st.integers(1, max_n))
     active = draw(st.integers(1, n))  # vertices >= active stay isolated
     parts = draw(st.integers(1, 3))  # edges only inside u % parts classes
@@ -37,8 +47,8 @@ def graphs(draw, max_n=40):
         )
     )
     pairs = [(u, v) for u, v in pairs if u % parts == v % parts]
-    kind = draw(st.sampled_from(sorted(WEIGHTS)))
-    ws = draw(st.lists(WEIGHTS[kind], min_size=len(pairs), max_size=len(pairs)))
+    kind = draw(st.sampled_from(sorted(weights)))
+    ws = draw(st.lists(weights[kind], min_size=len(pairs), max_size=len(pairs)))
     vw = draw(st.none() | st.lists(st.integers(1, 9), min_size=n, max_size=n))
     return from_arrays(
         n,
@@ -56,26 +66,90 @@ def _float_graph() -> Graph:
     )
 
 
+def _assert_fm_matches(g: Graph, data) -> None:
+    assert exact_gain_weights(g)
+    assign = np.asarray(
+        data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)),
+        dtype=np.int64,
+    )
+    total = float(g.vertex_weights.sum())
+    # From infeasible (0) to loose (1.2) on either side.
+    caps = (
+        data.draw(st.floats(0.0, 1.2)) * total,
+        data.draw(st.floats(0.0, 1.2)) * total,
+    )
+    passes = data.draw(st.integers(1, 8))
+    got = fm_refine(g, assign, caps, max_passes=passes)
+    want = fm_refine_reference(g, assign, caps, max_passes=passes)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 class TestFmDifferential:
     @settings(max_examples=200, deadline=None)
     @given(g=graphs(), data=st.data())
     def test_matches_reference(self, g, data):
+        _assert_fm_matches(g, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(weights=HUGE_WEIGHTS), data=st.data())
+    def test_matches_reference_on_huge_weights(self, g, data):
+        _assert_fm_matches(g, data)
+
+    def test_heap_keys_beyond_int64(self):
+        # Gains near 2**49 on a graph of 2**16 vertices: keys pass 2**63.
+        n = 2**16
+        path = np.arange(12, dtype=np.int64)
+        ws = np.asarray([2**48 + 7 * i for i in range(11)], dtype=np.float64)
+        g = from_arrays(n, path[:-1], path[1:], ws)
         assert exact_gain_weights(g)
-        assign = np.asarray(
-            data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)),
-            dtype=np.int64,
+        assign = np.zeros(n, dtype=np.int64)
+        assign[path[::2]] = 1
+        caps = (0.6 * n, 0.6 * n)
+        got = fm_refine(g, assign, caps)
+        assert np.array_equal(got, fm_refine_reference(g, assign, caps))
+        assert not np.array_equal(got, assign)
+
+
+class TestKwayRefineDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(weights=FLOAT_WEIGHTS), data=st.data())
+    def test_matches_reference(self, g, data):
+        k = data.draw(st.integers(2, 9))  # small graphs leave blocks empty
+        assign = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+        part = Partition(g, np.asarray(assign, dtype=np.int64), k)
+        # From caps below the mean block weight to no cap at all.
+        epsilon = data.draw(st.floats(-0.5, 2.0))
+        passes = data.draw(st.integers(1, 3))
+        got = kway_refine(part, epsilon, max_passes=passes)
+        want = kway_refine_reference(part, epsilon, max_passes=passes)
+        assert got.k == want.k == k
+        assert got.assignment.dtype == want.assignment.dtype == np.int64
+        assert np.array_equal(got.assignment, want.assignment)
+
+    def test_float_sums_keep_the_reference_order(self):
+        # Vertex 0's weight into block 1 is 100000.1 + 0.1 + 0.1 in CSR
+        # order, one ulp (1.5e-11) above its own-block edge 100000.3, the
+        # same three added in reverse.  Only the CSR order makes the move.
+        g = from_edges(
+            5, [(0, 1, 100000.1), (0, 2, 0.1), (0, 3, 0.1), (0, 4, 100000.3)]
         )
-        total = float(g.vertex_weights.sum())
-        # From infeasible (0) to loose (1.2) on either side.
-        caps = (
-            data.draw(st.floats(0.0, 1.2)) * total,
-            data.draw(st.floats(0.0, 1.2)) * total,
-        )
-        passes = data.draw(st.integers(1, 8))
-        got = fm_refine(g, assign, caps, max_passes=passes)
-        want = fm_refine_reference(g, assign, caps, max_passes=passes)
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
+        assert (100000.1 + 0.1) + 0.1 > (0.1 + 0.1) + 100000.1 == 100000.3
+        part = Partition(g, np.asarray([0, 1, 1, 1, 0]), 2)
+        got = kway_refine(part, epsilon=2.0, max_passes=1)
+        want = kway_refine_reference(part, epsilon=2.0, max_passes=1)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.assignment[0] == 1
+
+    def test_gain_ties_go_to_the_lowest_block(self):
+        # Vertex 0 meets block 2 before block 1 in CSR order; the gains tie,
+        # and the reference scans blocks in ascending id.
+        g = from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
+        part = Partition(g, np.asarray([0, 2, 1]), 3)
+        got = kway_refine(part, epsilon=2.0, max_passes=1)
+        want = kway_refine_reference(part, epsilon=2.0, max_passes=1)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.assignment[0] == 1
 
 
 class TestGrowDifferential:
@@ -181,3 +255,50 @@ class TestSubgraph:
         assert sub.name == "p4|sub" and sub.n == 3 and sub.m == 2
         sub._validate()  # symmetric CSR
         assert ids.tolist() == [3, 1, 2]
+
+
+def _contract_oracle(g: Graph, coarse_of: np.ndarray, n_coarse: int, name: str) -> Graph:
+    """The ``from_arrays`` construction ``contract_graph`` replaced."""
+    us, vs, ws = g.edge_arrays()
+    cu, cv = coarse_of[us], coarse_of[vs]
+    keep = cu != cv
+    vertex_weights = np.zeros(n_coarse, dtype=np.float64)
+    np.add.at(vertex_weights, coarse_of, g.vertex_weights)
+    return from_arrays(
+        n_coarse, cu[keep], cv[keep], ws[keep], vertex_weights=vertex_weights, name=name
+    )
+
+
+class TestContractGraph:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(weights=FLOAT_WEIGHTS), data=st.data())
+    def test_matches_from_arrays(self, g, data):
+        kind = data.draw(st.sampled_from(["random", "all-in-one", "identity"]))
+        if kind == "identity":
+            n_coarse, coarse_of = g.n, np.arange(g.n, dtype=np.int64)
+        elif kind == "all-in-one":
+            n_coarse, coarse_of = 1, np.zeros(g.n, dtype=np.int64)
+        else:
+            # Ids past the largest one drawn stay isolated coarse vertices.
+            n_coarse = data.draw(st.integers(1, g.n + 2))
+            coarse_of = np.asarray(
+                data.draw(
+                    st.lists(
+                        st.integers(0, n_coarse - 1), min_size=g.n, max_size=g.n
+                    )
+                ),
+                dtype=np.int64,
+            )
+        got = contract_graph(g, coarse_of, n_coarse, name="c")
+        want = _contract_oracle(g, coarse_of, n_coarse, "c")
+        for attr in ("indptr", "indices", "weights", "vertex_weights"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype, attr
+            assert np.array_equal(a, b), attr
+        assert got.name == want.name == "c"
+        got._validate()
+
+    def test_default_names(self):
+        g = from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)], name="p3")
+        assert contract_graph(g, np.asarray([0, 0, 1]), 2).name == "p3|coarse"
+        assert contract_graph(g.copy(name=""), np.asarray([0, 0, 1]), 2).name == "coarse"

@@ -13,7 +13,7 @@ from repro.api.topology import Topology
 from repro.errors import MappingError, ReproError
 from repro.graphs import generators as gen
 from repro.serve.loadgen import http_request_json
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import BatchScheduler, GraphSpec
 from repro.serve.service import (
     ADMISSION_HOOK,
     MappingService,
@@ -126,7 +126,9 @@ class TestNonIntegerWireValues:
 
 
 class TestMalformedGraphSpecs:
-    """Malformed inline edges and generate sizing answer a 400 naming the field."""
+    """Malformed inline graphs and generate sizing answer a 400 naming the field."""
+
+    _EDGES = [[0, 1, 1], [1, 2, 1], [2, 3, 1]]
 
     def _map(self, service, graph):
         body = {"topology": "grid4x4", "graph": graph, "seed": 1, "config": {"nh": 1}}
@@ -145,6 +147,33 @@ class TestMalformedGraphSpecs:
         graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 1, 99], [1, 2, 1], [2, 3, 1]]}
         self._assert_bad(service, graph, "graph edge 0")
         graph["edges"][0] = [0, 1]
+        status, _, _ = self._map(service, graph)
+        assert status == 200
+
+    @pytest.mark.parametrize("n", [True, "4", -1])
+    def test_inline_n(self, service, n):
+        self._assert_bad(service, {"kind": "edges", "n": n, "edges": []}, "graph n")
+
+    @pytest.mark.parametrize(
+        "weight",
+        [True, False, "x", None, -1, float("inf"), float("nan"),
+         pytest.param(10**400, id="10**400")],
+    )
+    def test_edge_weight(self, service, weight):
+        graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 1], [1, 2, weight]]}
+        self._assert_bad(service, graph, "graph edge 1 weight")
+
+    def test_inline_integral_float_n_and_valid_weights(self, service):
+        graph = {"kind": "edges", "n": 4.0, "edges": self._EDGES}
+        status, reply, _ = self._map(service, graph)
+        assert status == 200
+        plain = {"kind": "edges", "n": 4, "edges": self._EDGES}
+        assert reply["mu"] == self._map(service, plain)[1]["mu"]
+        # Valid bodies keep their cache keys (the parent's key for ``plain``).
+        key = GraphSpec.from_wire(plain).cache_key()
+        assert key == "edges:81704ac981c71117"
+        assert GraphSpec.from_wire(graph).cache_key() == key
+        graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 0], [1, 2, 2.5]]}
         status, _, _ = self._map(service, graph)
         assert status == 200
 
