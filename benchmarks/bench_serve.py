@@ -4,15 +4,16 @@ Three gated measurements against the real HTTP service, all fired with
 deterministic open-loop load profiles (mixed topologies from the
 ``smoke`` scenario, exponential arrivals):
 
-1. **Batching** -- the batched server (window + max_batch + coalescing)
-   vs. the same service with batching disabled (``window=0,
-   max_batch=1``) on identical traffic.  Both servers run with the
+1. **Batching** -- the batched server (``max_batch=24``: requests that
+   arrive while the compute slot is busy leave together, and identical
+   ones coalesce) vs. the same service with batching disabled
+   (``max_batch=1``) on identical traffic.  Both servers run with the
    response cache *off* so the ratio isolates what batching itself buys.
    Gate: ``speedup >= 2.0``.
 2. **Response-cache replay** -- one cache-enabled server, the same
    hot-key profile fired twice.  The second pass replays identities the
    first pass computed, so its requests are answered from the
-   run-identity response cache across batching windows -- full fidelity,
+   run-identity response cache across batches -- full fidelity,
    zero recompute (the JSON records the replay pass's batch count and
    ``labelings_computed``).  Gate: replay ``hit_rate >= 0.5``.
 3. **Cost of tracing** -- the same server and traffic with end-to-end
@@ -84,7 +85,6 @@ def _measure(profile: LoadProfile, settings: ServeSettings, label: str) -> dict:
         report, metrics = asyncio.run(_fire(profile, srv.host, srv.port, label))
     return {
         "settings": {
-            "window_ms": settings.window_ms,
             "max_batch": settings.max_batch,
             "response_cache": settings.response_cache,
         },
@@ -103,10 +103,10 @@ def _derive(profile: LoadProfile, **overrides) -> LoadProfile:
 # ----------------------------------------------------------------------
 def run_batching(profile: LoadProfile) -> dict:
     batched_settings = ServeSettings(
-        port=0, window_ms=60.0, max_batch=24, max_queue=4096, response_cache=0,
+        port=0, max_batch=24, max_queue=4096, response_cache=0,
     )
     unbatched_settings = ServeSettings(
-        port=0, window_ms=0.0, max_batch=1, max_queue=4096, response_cache=0,
+        port=0, max_batch=1, max_queue=4096, response_cache=0,
     )
 
     # Warmup: touch every topology/config group once so session caches
@@ -140,12 +140,10 @@ def run_batching(profile: LoadProfile) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Section 2: cross-window response-cache replay
+# Section 2: cross-batch response-cache replay
 # ----------------------------------------------------------------------
 def run_response_cache(profile: LoadProfile) -> dict:
-    settings = ServeSettings(
-        port=0, window_ms=25.0, max_batch=24, max_queue=4096,
-    )
+    settings = ServeSettings(port=0, max_batch=24, max_queue=4096)
     cache_profile = _derive(profile, repeat_fraction=0.6)
     with ServerThread(settings) as srv:
 
@@ -201,10 +199,7 @@ def run_tracing_overhead(profile: LoadProfile) -> dict:
     # instrumented path); batching identical on both sides.  The traced
     # server runs *first* so any residual session warmup from earlier
     # sections biases against the gate, not for it.
-    base = dict(
-        port=0, window_ms=25.0, max_batch=24, max_queue=4096,
-        response_cache=0,
-    )
+    base = dict(port=0, max_batch=24, max_queue=4096, response_cache=0)
     traced = _measure(profile, ServeSettings(**base, trace=True), "traced")
     untraced = _measure(
         profile, ServeSettings(**base, trace=False), "untraced"

@@ -8,8 +8,9 @@ then walks the protocol with plain stdlib urllib:
 1. `GET /healthz`  -- liveness and the served topology names,
 2. `POST /map`     -- one request, a generated application graph onto
    a 4x4 grid,
-3. `POST /batch`   -- three requests in one body; two are identical and
-   come back coalesced from a single computation,
+3. `POST /batch`   -- four requests in one body, submitted together:
+   two repeat the `/map` above and come back from the response cache;
+   the other two are identical, so one computation answers both,
 4. `GET /metrics`  -- the JSON metrics snapshot.
 
 Run:  python examples/serve_client.py
@@ -54,18 +55,23 @@ def demo(base: str) -> None:
           f"{reply['metrics']['coco_after']:.0f} on {len(reply['mu'])} "
           f"vertices [{reply['identity_hash'][:10]}]")
 
+    fresh = {**request, "seed": 8, "graph": {**request["graph"], "seed": 8}}
     batch = call(base, "POST", "/batch", {
         "requests": [
-            {**request, "id": "a"},
-            {**request, "id": "b"},          # identical: coalesced with "a"
-            {**request, "seed": 8, "id": "c",
-             "graph": {**request["graph"], "seed": 8}},
+            {**request, "id": "a"},          # repeats the /map: cached
+            {**request, "id": "b"},          # so does this one
+            {**fresh, "id": "c"},            # computed once ...
+            {**fresh, "id": "d"},            # ... and coalesced with "c"
         ]
     })
     for item in batch["results"]:
         info = item["batch"]
-        print(f"batch[{item['id']}]: batched with {info['size']}, "
-              f"{'coalesced' if info['coalesced'] else 'computed'} "
+        how = (
+            "cached" if item.get("cached")
+            else "coalesced" if info["coalesced"]
+            else "computed"
+        )
+        print(f"batch[{item['id']}]: batched with {info['size']}, {how} "
               f"(unique runs: {info['unique']})")
     a, b = batch["results"][0], batch["results"][1]
     assert a["mu"] == b["mu"], "identical requests must map identically"
@@ -82,7 +88,7 @@ def main() -> None:
         return
     from repro.serve.service import ServeSettings, ServerThread
 
-    with ServerThread(ServeSettings(port=0, window_ms=20, max_batch=8)) as srv:
+    with ServerThread(ServeSettings(port=0, max_batch=8)) as srv:
         demo(srv.url)
 
 

@@ -178,7 +178,6 @@ def cmd_serve(args) -> int:
     settings = ServeSettings(
             host=args.host,
             port=args.port,
-            window_ms=args.window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             max_sessions=args.max_sessions,
@@ -309,10 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("serve", help="long-running batching mapping service")
     q.add_argument("--host", default="127.0.0.1")
     q.add_argument("--port", type=int, default=8080, help="0 = ephemeral")
-    q.add_argument("--window-ms", type=float, default=25.0,
-                   help="micro-batching window (milliseconds)")
     q.add_argument("--max-batch", type=int, default=16,
-                   help="dispatch a group at this many requests")
+                   help="most requests one dispatch takes from a group "
+                   "(1 disables batching)")
     q.add_argument("--max-queue", type=int, default=256,
                    help="admission bound on in-flight requests (429 beyond)")
     q.add_argument("--max-sessions", type=int, default=None,

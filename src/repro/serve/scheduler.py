@@ -2,11 +2,19 @@
 
 The serving front end (:mod:`repro.serve.service`) turns every wire
 request into a :class:`MapRequest` and awaits
-:meth:`BatchScheduler.submit`.  The scheduler holds each request for at
-most one *batching window* and groups everything that arrives for the
-same ``(topology, pipeline-config identity)`` into one dispatch on that
-group's cached :class:`repro.api.Pipeline` -- one labeling, one distance
-matrix and one executor hop per batch instead of per request.
+:meth:`BatchScheduler.submit`.  Requests wait in groups keyed by
+``(topology, pipeline-config identity)``, and a group leaves as one
+dispatch on its cached :class:`repro.api.Pipeline` -- one labeling, one
+distance matrix and one executor hop per batch instead of per request.
+
+Compute slots, not timers, drive dispatch.  A slot is one executor
+thread; there are ``max(1, workers)`` of them.  A request that arrives
+while a slot is free leaves on the next event-loop tick, with whatever
+else that tick admitted.  Requests that arrive while every slot is busy
+wait in their groups and leave together when a slot frees: each free
+slot takes the group that has waited longest, up to ``max_batch`` of its
+jobs, and a group with jobs left over goes to the back of the queue.  So
+batching happens exactly while compute is busy, which is when it pays.
 
 Inside a batch, requests with identical work identity -- same graph
 spec, same seed, same supplied mapping -- are **coalesced**: computed
@@ -14,7 +22,7 @@ once, answered many times.  This is sound *because* of the determinism
 contract (same request == same mapping, test-asserted), and it is where
 most of the batching throughput win comes from on hot keys.
 
-*Across* windows the same contract powers the response cache: every
+*Across* batches the same contract powers the response cache: every
 successful full-fidelity result is remembered in a byte-budgeted LRU
 (:class:`~repro.serve.cache.ResponseCache`) keyed by the run identity
 ``(group key, graph content, seed, mu tag)``, and ``submit`` checks it
@@ -26,10 +34,11 @@ rewritten group key, so they can never impersonate a full result.
 Admission control is a single bound on in-flight requests
 (``max_queue``): past it, ``submit`` fails fast with
 :class:`QueueFullError` carrying a retry-after hint, which the HTTP
-layer maps to a 429.  Every request may carry a deadline; requests that
-expire while queued are failed without being computed, and requests
-whose deadline passes *during* their batch's computation are failed on
-completion (the work is wasted, the client already walked away).
+layer maps to a 429.  Every request may carry a deadline.  It counts
+down while the request waits for a slot: a request that expires before
+it leaves its group fails without being computed, and one whose deadline
+passes *during* its batch's computation fails on completion (the work is
+wasted, the client already walked away).
 
 Fault tolerance
 ---------------
@@ -41,10 +50,9 @@ under a :class:`~repro.serve.retry.RetryPolicy` (bounded attempts,
 exponential backoff, jitter derived deterministically from the work
 key).  A per-group :class:`~repro.serve.retry.CircuitBreaker` sheds
 load with 503/``Retry-After`` while a group keeps failing, and
-requests marked ``allow_degraded`` may instead be answered from the
-response cache or rerouted to an enhance-free pipeline -- always
-flagged ``degraded`` so the byte-identity contract is only claimed for
-full-fidelity responses.
+requests marked ``allow_degraded`` may instead be rerouted to an
+enhance-free pipeline -- always flagged ``degraded`` so the
+byte-identity contract is only claimed for full-fidelity responses.
 
 Determinism: every request becomes one ``Pipeline.run(graph, mu=...,
 seed=...)`` call, in-process or on a pool worker -- the same call a
@@ -57,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import math
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -87,6 +96,9 @@ from repro.serve.faults import FaultClock, FaultPlan, on_item, on_task
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import SupervisedPool, pinned_worker
 from repro.serve.retry import CircuitBreaker, RetryPolicy
+
+#: hotspot frames ``profile=True`` attaches to each compute span
+PROFILE_TOP = 10
 
 
 class QueueFullError(TransientError):
@@ -119,22 +131,23 @@ def wire_int(value, field: str) -> int:
     raise ConfigurationError(f"{field} must be an integer, got {value!r}")
 
 
-def check_wire_weight(value, field: str) -> None:
-    """Check an edge weight taken off the wire: a finite real number >= 0.
+def wire_float(value, field: str, *, positive: bool = False) -> float:
+    """A real number taken off the wire: finite, and >= 0 (> 0 if ``positive``).
 
-    A bool, a string, ``null``, a NaN, an infinity or a negative number
-    raises ``ConfigurationError`` naming ``field``.
+    A bool, a string, ``null``, a NaN, an infinity or a number out of
+    range raises ``ConfigurationError`` naming ``field``.
     """
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
         value, bool
     ):
         try:
-            weight = float(value)
+            number = float(value)
         except OverflowError:  # an int beyond the float range
-            weight = math.inf
-        if math.isfinite(weight) and weight >= 0:
-            return
-    raise ConfigurationError(f"{field} must be a finite number >= 0, got {value!r}")
+            number = math.inf
+        if math.isfinite(number) and (number > 0 if positive else number >= 0):
+            return number
+    bound = "> 0" if positive else ">= 0"
+    raise ConfigurationError(f"{field} must be a finite number {bound}, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,7 @@ class GraphSpec:
             for endpoint in edge[:2]:
                 wire_int(endpoint, f"graph edge {i} endpoint")
             if len(edge) == 3:
-                check_wire_weight(edge[2], f"graph edge {i} weight")
+                wire_float(edge[2], f"graph edge {i} weight")
 
     def build(self) -> Graph:
         if self.kind == "generate":
@@ -327,11 +340,10 @@ class _Job:
 
 
 class _Group:
-    __slots__ = ("jobs", "timer", "pipeline")
+    __slots__ = ("jobs", "pipeline")
 
     def __init__(self, pipeline: Pipeline) -> None:
         self.jobs: list[_Job] = []
-        self.timer: asyncio.TimerHandle | None = None
         #: held here so a dispatch keeps its pipeline even if the
         #: scheduler's pipeline LRU evicts the group key meanwhile
         self.pipeline = pipeline
@@ -403,22 +415,20 @@ def _rebuild_admitting(verify_names, rebuild, args) -> Pipeline:
 # Scheduler
 # ----------------------------------------------------------------------
 class BatchScheduler:
-    """Window-and-size micro-batcher over a shared :class:`TopologyCache`.
+    """Slot-driven micro-batcher over a shared :class:`TopologyCache`.
 
     Parameters
     ----------
-    window_s:
-        how long the first request of a group waits for company.  ``0``
-        still batches whatever lands in the same event-loop tick; the
-        benchmarks' "batching disabled" baseline uses ``max_batch=1``.
     max_batch:
-        dispatch a group as soon as it holds this many requests.
+        most jobs one dispatch takes from a group; the rest wait for the
+        next free slot.  ``1`` disables batching.
     max_queue:
         admission bound on in-flight requests across all groups.
     workers:
-        size of the supervised worker pool.  ``0`` (default) computes
-        in-process, one request at a time on one executor thread;
-        ``> 0`` moves batch compute onto crash-supervised processes with
+        size of the supervised worker pool; ``max(1, workers)`` is the
+        number of compute slots.  ``0`` (default) computes in-process,
+        one request at a time on one executor thread; ``> 0`` moves
+        batch compute onto crash-supervised processes with
         requeue/bisection recovery, dispatching up to ``workers`` groups
         concurrently.  Each topology's batches run on one worker
         (:func:`~repro.serve.pool.pinned_worker`); topology sessions stay
@@ -437,14 +447,13 @@ class BatchScheduler:
         deterministic :class:`FaultPlan` for chaos testing; installed
         into the environment so pool workers inherit it.
     response_cache_size / response_cache_bytes:
-        entry-count and byte bounds on the cross-window response cache
+        entry-count and byte bounds on the cross-batch response cache
         checked on the hot path before admission (either 0 disables).
     """
 
     def __init__(
         self,
         *,
-        window_s: float = 0.025,
         max_batch: int = 16,
         max_queue: int = 256,
         workers: int = 0,
@@ -459,8 +468,6 @@ class BatchScheduler:
         response_cache_bytes: int = DEFAULT_RESPONSE_CACHE_BYTES,
         tracer: Tracer | None = None,
         profile: bool = False,
-        profile_top: int = 10,
-        clock=time.monotonic,
     ) -> None:
         if max_batch < 1 or max_queue < 1 or max_pipelines < 1:
             raise ConfigurationError(
@@ -470,7 +477,6 @@ class BatchScheduler:
             raise ConfigurationError(
                 "workers and response_cache_size must be >= 0"
             )
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.max_pipelines = int(max_pipelines)
@@ -480,14 +486,11 @@ class BatchScheduler:
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.response_cache_size = int(response_cache_size)
         self.response_cache = ResponseCache(
             max_entries=response_cache_size, max_bytes=response_cache_bytes
         )
         self.tracer = tracer if tracer is not None else get_tracer()
         self.profile = bool(profile)
-        self.profile_top = int(profile_top)
-        self.clock = clock
         self._fault_clock = FaultClock()
         self._groups: dict[str, _Group] = {}
         #: LRU of assembled pipelines by group key.  Bounded because the
@@ -504,8 +507,11 @@ class BatchScheduler:
         if workers > 0:
             self.faults.install()  # pool workers read REPRO_FAULTS at start
             self._pool = SupervisedPool(_pool_run, workers=workers, name="repro-serve")
+        #: compute slots not running a dispatch; one per executor thread,
+        #: so a dispatched batch never waits for a thread
+        self._free_slots = max(1, workers)
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, workers),
+            max_workers=self._free_slots,
             thread_name_prefix="repro-serve",
         )
         self._dispatch_tasks: set[asyncio.Task] = set()
@@ -547,7 +553,7 @@ class BatchScheduler:
         )
         self._m_cache_hits = m.counter(
             "response_cache_hits_total",
-            "requests answered from the cross-window response cache",
+            "requests answered from the cross-batch response cache",
         )
         self._m_cache_misses = m.counter(
             "response_cache_misses_total",
@@ -628,7 +634,6 @@ class BatchScheduler:
             breaker = CircuitBreaker(
                 failure_threshold=self.breaker_threshold,
                 reset_s=self.breaker_reset_s,
-                clock=self.clock,
             )
         self._breakers[gkey] = breaker
         while len(self._breakers) > self.max_pipelines:
@@ -678,9 +683,7 @@ class BatchScheduler:
             self._m_cache_misses.inc()
         if self._pending >= self.max_queue:
             self._m_rejected.inc(label="queue_full")
-            raise QueueFullError(
-                self._pending, self.max_queue, retry_after=max(2 * self.window_s, 0.05)
-            )
+            raise QueueFullError(self._pending, self.max_queue, retry_after=0.05)
         gkey = request.group_key()
         # Resolve the pipeline *before* enqueueing so an unknown
         # topology or bad config rejects immediately, not mid-batch.
@@ -693,7 +696,7 @@ class BatchScheduler:
         elif request.allow_degraded and request.deadline_s is not None:
             ewma = self._compute_ewma.get(gkey)
             # 1.2: a 20% margin over the group's per-item compute EWMA.
-            if ewma is not None and request.deadline_s < 1.2 * ewma + self.window_s:
+            if ewma is not None and request.deadline_s < 1.2 * ewma:
                 degrade_reason = "deadline"
         if degrade_reason is not None:
             # The ladder's verdict is observable even when it rejects:
@@ -715,16 +718,14 @@ class BatchScheduler:
             degrade_span.set(outcome=degraded_mode or "full")
             degrade_span.finish()
         loop = asyncio.get_running_loop()
-        now = self.clock()
+        now = time.monotonic()
         job = _Job(
             request=request,
             future=loop.create_future(),
             enqueued=now,
             deadline=(now + request.deadline_s) if request.deadline_s else None,
             degraded_mode=degraded_mode,
-            span=self.tracer.span(
-                "queue_wait", ctx, window_s=self.window_s
-            ),
+            span=self.tracer.span("queue_wait", ctx),
         )
         self._pending += 1
         self._m_requests.inc()
@@ -733,12 +734,10 @@ class BatchScheduler:
         if group is None:
             group = self._groups[gkey] = _Group(pipe)
         group.jobs.append(job)
-        if len(group.jobs) >= self.max_batch:
-            self._flush(gkey, "max_batch")
-        elif group.timer is None:
-            group.timer = loop.call_later(
-                self.window_s, self._flush, gkey, "window"
-            )
+        if self._free_slots:
+            # On the next tick, not inline: everything this tick admits
+            # (a /batch body, pipelined stdio lines) leaves together.
+            loop.call_soon(self._pump)
         return await job.future
 
     async def drain(self) -> None:
@@ -749,15 +748,11 @@ class BatchScheduler:
     def close(self) -> None:
         """Stop accepting work and fail whatever is still queued."""
         self._closed = True
-        for gkey, group in list(self._groups.items()):
-            if group.timer is not None:
-                group.timer.cancel()
-                group.timer = None
+        for group in self._groups.values():
             for job in group.jobs:
                 if not job.future.done():
                     job.future.set_exception(ReproError("scheduler closed"))
                 self._pending -= 1
-            group.jobs.clear()
         self._groups.clear()
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self._pool is not None:
@@ -842,31 +837,32 @@ class BatchScheduler:
             stats["evictions"] - self._m_cache_evictions.value
         )
 
-    def _flush(self, gkey: str, reason: str = "window") -> None:
-        """Move up to ``max_batch`` queued jobs of a group into a dispatch."""
-        group = self._groups.get(gkey)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
-        if not group.jobs:  # window elapsed on an already-drained group
-            del self._groups[gkey]
-            return
-        batch, group.jobs = group.jobs[: self.max_batch], group.jobs[self.max_batch:]
-        if group.jobs:  # overflow keeps flowing without a fresh window
-            group.timer = asyncio.get_running_loop().call_later(
-                0, self._flush, gkey, "overflow"
-            )
-        else:
-            # Drained groups are dropped so an idle group's pipeline
-            # reference lives only in the (bounded) pipeline LRU.
-            del self._groups[gkey]
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(gkey, group.pipeline, batch, reason)
-        )
-        self._dispatch_tasks.add(task)
-        task.add_done_callback(self._dispatch_tasks.discard)
+    def _pump(self) -> None:
+        """Give each free compute slot the group that has waited longest.
+
+        A slot takes up to ``max_batch`` of the group's jobs.  A group
+        with jobs left over goes to the back of the queue, so a hot group
+        cannot starve the others; a drained group is dropped, so an idle
+        group's pipeline lives only in the (bounded) pipeline LRU.
+        """
+        loop = asyncio.get_running_loop()
+        while self._free_slots and self._groups:
+            gkey = next(iter(self._groups))  # dict order is arrival order
+            group = self._groups.pop(gkey)
+            batch, group.jobs = group.jobs[: self.max_batch], group.jobs[self.max_batch:]
+            if group.jobs:
+                self._groups[gkey] = group
+            self._free_slots -= 1
+            task = loop.create_task(self._dispatch(gkey, group.pipeline, batch))
+            self._dispatch_tasks.add(task)
+            task.add_done_callback(self._slot_freed)
+
+    def _slot_freed(self, task: asyncio.Task) -> None:
+        # A done callback runs however the dispatch ended: success,
+        # failure, an escaped exception or cancellation.
+        self._dispatch_tasks.discard(task)
+        self._free_slots += 1
+        self._pump()
 
     def _finish(self, job: _Job, outcome) -> None:
         self._pending -= 1
@@ -974,7 +970,7 @@ class BatchScheduler:
             if self.profile:
                 results, frames = profile_call(
                     self._compute_once, gkey, pipe, sub_reqs, sub_ctxs,
-                    top=self.profile_top,
+                    top=PROFILE_TOP,
                 )
                 for i in todo:
                     spans[i].set(profile=frames)
@@ -994,7 +990,7 @@ class BatchScheduler:
             delay = max(
                 self.retry.delay(str(order[i]), attempt) for i in retryable
             )
-            horizon = self.clock() + delay
+            horizon = time.monotonic() + delay
             todo = []
             for i in retryable:
                 jobs = members[order[i]]
@@ -1024,15 +1020,14 @@ class BatchScheduler:
         return outcomes
 
     async def _dispatch(
-        self, gkey: str, pipe: Pipeline, batch: list[_Job], reason: str
+        self, gkey: str, pipe: Pipeline, batch: list[_Job]
     ) -> None:
-        now = self.clock()
+        now = time.monotonic()
         live: list[_Job] = []
         for job in batch:
             if job.deadline is not None and now > job.deadline:
-                if job.span is not None:
-                    job.span.set(outcome="deadline_queued")
-                    job.span.finish(status="error")
+                job.span.set(outcome="deadline_queued")
+                job.span.finish(status="error")
                 self._m_rejected.inc(label="deadline_queued")
                 self._finish(
                     job,
@@ -1041,9 +1036,7 @@ class BatchScheduler:
                     ),
                 )
             else:
-                if job.span is not None:
-                    job.span.set(flush_reason=reason)
-                    job.span.finish()
+                job.span.finish()
                 live.append(job)
         if not live:
             return
@@ -1066,24 +1059,23 @@ class BatchScheduler:
                 members[key][0].request.trace,
                 batch_size=len(live),
                 batch_unique=len(unique),
-                flush_reason=reason,
                 pooled=self._pool is not None,
             )
             for key in order
         ]
         loop = asyncio.get_running_loop()
-        t0 = self.clock()
+        t0 = time.monotonic()
         outcomes = await loop.run_in_executor(
             self._executor,
             self._compute_with_retries,
             gkey, pipe, unique, order, members, compute_spans,
         )
-        compute_s = self.clock() - t0
+        compute_s = time.monotonic() - t0
         for span, out in zip(compute_spans, outcomes):
             span.finish(
                 status="error" if isinstance(out, BaseException) else "ok"
             )
-        done = self.clock()
+        done = time.monotonic()
         self._m_batches.inc()
         self._m_batch_size.observe(len(live))
         self._m_batch_unique.observe(len(unique))

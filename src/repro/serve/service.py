@@ -9,8 +9,8 @@ endpoints and the hot path is the scheduler, not the parser:
 - ``POST /map``      -- partition + initial mapping (+ enhance) of one
   application graph; body documented in ``docs/serving.md``.
 - ``POST /enhance``  -- run the enhance stage on a supplied mapping.
-- ``POST /batch``    -- a list of map/enhance payloads submitted
-  concurrently, so they share one batching window by construction.
+- ``POST /batch``    -- a list of map/enhance payloads submitted in one
+  event-loop tick, so each group's items leave in one dispatch.
 - ``GET  /healthz``  -- liveness + queue depth + served topologies.
 - ``GET  /metrics``  -- Prometheus text; ``?format=json`` for the JSON
   schema the benchmarks consume.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import reprlib
 import sys
 import threading
 import traceback
@@ -65,6 +66,7 @@ from repro.serve.scheduler import (
     MapRequest,
     QueueFullError,
     ServedResult,
+    wire_float,
     wire_int,
 )
 
@@ -138,35 +140,40 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(
-    payload: dict | None, admission_hook: str = ADMISSION_HOOK
-) -> PipelineConfig:
+def _wire_names(payload: dict, key: str) -> tuple[str, ...]:
+    names = payload.get(key, [])
+    if isinstance(names, list) and all(isinstance(name, str) for name in names):
+        return tuple(names)
+    raise ReproError(f"config.{key} must be a list of strings, got {reprlib.repr(names)}")
+
+
+def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> PipelineConfig:
     """Wire config dict -> :class:`PipelineConfig` (CLI flag spellings).
 
     The parsed config always carries the server's verify chain: the
     admission hook pre-run and ``mapping-valid`` (plus any requested
-    hooks) post-run.
+    hooks) post-run.  Values are checked, never coerced.
     """
-    payload = dict(payload or {})
+    if not isinstance(payload, dict):
+        raise ReproError(f"config must be an object, got {reprlib.repr(payload)}")
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise ReproError(
             f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}"
         )
-    verify = tuple(payload.get("verify", ()))
-    reports = tuple(payload.get("report", ()))
-    nh = int(payload.get("nh", payload.get("n_hierarchies", 8)))
+    nh_key = "nh" if "nh" in payload else "n_hierarchies"
+    nh = wire_int(payload.get(nh_key, 8), f"config.{nh_key}")
     strategy = str(payload.get("strategy", payload.get("swap_strategy", "greedy")))
     return PipelineConfig(
         partition=str(payload.get("partition", "kway")),
         initial_mapping=str(payload.get("initial_mapping", payload.get("case", "c2"))),
         enhance=str(payload.get("enhance", "timer")),
-        epsilon=float(payload.get("epsilon", 0.03)),
+        epsilon=wire_float(payload.get("epsilon", 0.03), "config.epsilon"),
         seed_policy=str(payload.get("seed_policy", "stream")),
         timer=TimerConfig(n_hierarchies=nh, swap_strategy=strategy),
         pre_verify=(admission_hook,),
-        post_verify=("mapping-valid",) + verify,
-        reports=reports,
+        post_verify=("mapping-valid",) + _wire_names(payload, "verify"),
+        reports=_wire_names(payload, "report"),
         # Note: backend is excluded from PipelineConfig.identity(), so
         # requests differing only in backend still share a batch group
         # and a response-cache cell (the backends are byte-identical).
@@ -180,7 +187,6 @@ def parse_request(
     require_mu: bool = False,
     max_graph_n: int | None = None,
     admission_hook: str = ADMISSION_HOOK,
-    default_deadline_s: float | None = None,
 ) -> MapRequest:
     """One wire body -> a validated :class:`MapRequest` (raises ReproError)."""
     if not isinstance(payload, dict):
@@ -212,19 +218,20 @@ def parse_request(
         mu = np.asarray(
             [wire_int(x, f"mu[{i}]") for i, x in enumerate(mu)], dtype=np.int64
         )
-    deadline_s = payload.get("deadline_s", default_deadline_s)
+    deadline_s = payload.get("deadline_s")
     if deadline_s is not None:
-        deadline_s = float(deadline_s)
-        if deadline_s <= 0:
-            raise ReproError(f"deadline_s must be positive, got {deadline_s}")
+        deadline_s = wire_float(deadline_s, "deadline_s", positive=True)
+    allow_degraded = payload.get("allow_degraded", False)
+    if not isinstance(allow_degraded, bool):
+        raise ReproError(f"allow_degraded must be a boolean, got {reprlib.repr(allow_degraded)}")
     return MapRequest(
         topology=str(payload["topology"]),
         graph=spec,
-        config=parse_config(payload.get("config"), admission_hook),
+        config=parse_config(payload.get("config", {}), admission_hook),
         seed=seed,
         mu=mu,
         deadline_s=deadline_s,
-        allow_degraded=bool(payload.get("allow_degraded", False)),
+        allow_degraded=allow_degraded,
     )
 
 
@@ -353,7 +360,7 @@ class MappingService:
             # Rejected before anything is submitted: one malformed item
             # must not waste its siblings' computation.
             raise ReproError("every 'requests' entry must be a JSON object")
-        # Submitted concurrently, so the whole batch shares one window.
+        # Submitted in one tick, so each group's items leave together.
         outcomes = await asyncio.gather(
             *(
                 self.handle(str(item.get("op", "map")), item)
@@ -532,7 +539,7 @@ async def handle_http_connection(
             else:
                 try:
                     payload = json.loads(raw_body) if raw_body else {}
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
                     payload, op = None, None
                     status, body, extra = 400, {
                         "ok": False, "error": "bad_request",
@@ -581,8 +588,8 @@ async def serve_stdio(
     "metrics", "id": <echoed>, ...body}``; ``op`` defaults to ``map``.
     Requests are **pipelined**: each valid line is dispatched as its own
     task and its response line is written as soon as the handler
-    finishes, so many map lines sent back-to-back share one batching
-    window exactly like concurrent HTTP posts.  Responses may therefore
+    finishes, so many map lines sent back-to-back share one dispatch
+    exactly like concurrent HTTP posts.  Responses may therefore
     return out of submission order -- embedders sending more than one
     in-flight request must tag each line with an ``id`` and match
     responses by the echoed ``id``, not by position.
@@ -639,7 +646,7 @@ async def serve_stdio(
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, or nested too deep
                 write_line(json.dumps({"ok": False, "error": "bad_request",
                                        "message": f"invalid JSON: {exc}"}))
                 continue
@@ -665,7 +672,6 @@ class ServeSettings:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    window_ms: float = 25.0
     max_batch: int = 16
     max_queue: int = 256
     #: > 0 moves batch compute onto the supervised crash-tolerant pool;
@@ -726,7 +732,6 @@ def build_service(settings: ServeSettings) -> MappingService:
     # name, so it must be registered before then.
     register_admission_hook(settings.max_graph_n)
     scheduler = BatchScheduler(
-        window_s=settings.window_ms / 1000.0,
         max_batch=settings.max_batch,
         max_queue=settings.max_queue,
         max_pipelines=settings.max_pipelines,
@@ -777,7 +782,6 @@ async def _amain(settings: ServeSettings) -> int:
         get_logger("serve").info(
             "serve_listening",
             url=f"http://{bound[0]}:{bound[1]}",
-            window_ms=settings.window_ms,
             max_batch=settings.max_batch,
             max_queue=settings.max_queue,
             workers=settings.workers,

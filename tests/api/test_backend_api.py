@@ -201,7 +201,7 @@ class TestWireAndCli:
         from repro.serve.scheduler import BatchScheduler
         from repro.serve.service import MappingService
 
-        scheduler = BatchScheduler(window_s=0.01, max_batch=4)
+        scheduler = BatchScheduler(max_batch=4)
         try:
             svc = MappingService(scheduler)
             status, body, _ = asyncio.run(svc.handle("healthz", {}))

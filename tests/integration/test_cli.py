@@ -249,11 +249,13 @@ class TestServeLoadgenCommands:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--window-ms", "10", "--max-batch", "4",
+            ["serve", "--port", "0", "--max-batch", "4",
              "--max-sessions", "2", "--warm", "grid4x4", "--stdio"]
         )
-        assert args.window_ms == 10.0 and args.stdio
+        assert args.max_batch == 4 and args.stdio
         assert args.warm == ["grid4x4"]
+        with pytest.raises(SystemExit):  # the batching window is gone
+            build_parser().parse_args(["serve", "--window-ms", "10"])
 
     def test_loadgen_against_live_server(self, tmp_path, capsys):
         from repro.api.topology import Topology, session_cache
@@ -263,7 +265,7 @@ class TestServeLoadgenCommands:
         out = tmp_path / "loadgen.json"
         try:
             with ServerThread(
-                ServeSettings(port=0, window_ms=10, max_batch=8)
+                ServeSettings(port=0, max_batch=8)
             ) as srv:
                 rc = main(
                     ["loadgen", srv.url, "--requests", "6", "--rate", "200",

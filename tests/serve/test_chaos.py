@@ -71,7 +71,6 @@ class TestWorkerCrashRecovery:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.05,
                 max_batch=8,
                 workers=1,
                 faults=FaultPlan(kill_task_indices=(0,)),
@@ -102,7 +101,6 @@ class TestWorkerCrashRecovery:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.05,
                 max_batch=8,
                 workers=1,
                 faults=FaultPlan(poison_markers=("777",)),
@@ -148,7 +146,6 @@ class TestRetries:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.01,
                 retry=RetryPolicy(max_attempts=3, base_delay=0.001),
             )
             calls = self._flaky_pipe(scheduler, request, failures=1)
@@ -168,7 +165,6 @@ class TestRetries:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.01,
                 retry=RetryPolicy(max_attempts=2, base_delay=0.001),
             )
             self._flaky_pipe(scheduler, request, failures=99)
@@ -190,7 +186,6 @@ class TestRetries:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.01,
                 retry=RetryPolicy(max_attempts=3, base_delay=5.0, max_delay=5.0),
             )
             self._flaky_pipe(scheduler, request, failures=99)
@@ -215,7 +210,6 @@ class TestBreaker:
 
         async def go():
             scheduler = BatchScheduler(
-                window_s=0.01,
                 retry=RetryPolicy(max_attempts=1),
                 breaker_threshold=1,
                 breaker_reset_s=0.15,
@@ -253,7 +247,7 @@ class TestDegradation:
         request = _request(seed=4)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, breaker_threshold=1)
+            scheduler = BatchScheduler(breaker_threshold=1)
             try:
                 first = await scheduler.submit(request)  # warms the cache
                 breaker = scheduler.breaker_for(request.group_key())
@@ -273,7 +267,7 @@ class TestDegradation:
         request = _request(seed=4)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, breaker_threshold=1)
+            scheduler = BatchScheduler(breaker_threshold=1)
             try:
                 scheduler.breaker_for(request.group_key()).record_failure()
                 with pytest.raises(CircuitOpenError):
@@ -295,7 +289,7 @@ class TestDegradation:
         )
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, breaker_threshold=1)
+            scheduler = BatchScheduler(breaker_threshold=1)
             try:
                 scheduler.breaker_for(request.group_key()).record_failure()
                 served = await scheduler.submit(request)
@@ -306,3 +300,40 @@ class TestDegradation:
         served = run(go())
         assert served.degraded and served.degraded_mode == "no_enhance"
         assert np.array_equal(served.result.mu_final, bare.mu_final)
+
+    def test_deadline_shorter_than_compute_degrades_to_enhance_free(self):
+        # The group's runs take about 0.3 s, so a 0.2 s deadline cannot
+        # fit a full run: the opted-in request is rerouted to the
+        # enhance-free pipeline and flagged.
+        slow = _request(seed=4)
+        request = _request(seed=5, allow_degraded=True, deadline_s=0.2)
+        bare = _direct(
+            MapRequest(
+                topology=request.topology,
+                graph=request.graph,
+                config=parse_config({"nh": 1, "enhance": "none"}),
+                seed=request.seed,
+            )
+        )
+
+        async def go():
+            scheduler = BatchScheduler()
+            try:
+                pipe = scheduler.pipeline_for(slow)
+                real_run = pipe.run
+
+                def slow_run(ga, **kwargs):
+                    time.sleep(0.3)
+                    return real_run(ga, **kwargs)
+
+                pipe.run = slow_run
+                await scheduler.submit(slow)  # the group's compute EWMA
+                served = await scheduler.submit(request)
+                return served, scheduler.metrics.render_json()
+            finally:
+                scheduler.close()
+
+        served, metrics = run(go())
+        assert served.degraded and served.degraded_mode == "no_enhance"
+        assert np.array_equal(served.result.mu_final, bare.mu_final)
+        assert metrics["degraded_total"]["no_enhance"] == 1

@@ -66,7 +66,7 @@ class TestCatalogAndMix:
 
 class TestEndToEnd:
     def test_in_process_run_produces_full_report(self):
-        scheduler = BatchScheduler(window_s=0.02, max_batch=8)
+        scheduler = BatchScheduler(max_batch=8)
         service = MappingService(scheduler)
         profile = LoadProfile(
             requests=10, rate=300.0, seed=0, nh=1, hot_fraction=0.8, hot_keys=2
@@ -88,7 +88,7 @@ class TestEndToEnd:
         assert "ok in" in report.render()
 
     def test_latency_summary_quantiles_and_splits(self):
-        scheduler = BatchScheduler(window_s=0.02, max_batch=8)
+        scheduler = BatchScheduler(max_batch=8)
         service = MappingService(scheduler)
         profile = LoadProfile(
             requests=12, rate=300.0, seed=0, nh=1, seed_pool=1,
@@ -173,7 +173,7 @@ class TestTrafficKnobs:
             LoadProfile(enhance_fraction=1.1)
 
     def test_mixed_ops_served_end_to_end(self):
-        scheduler = BatchScheduler(window_s=0.02, max_batch=8)
+        scheduler = BatchScheduler(max_batch=8)
         service = MappingService(scheduler)
         profile = LoadProfile(
             requests=14,

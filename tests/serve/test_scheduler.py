@@ -1,6 +1,8 @@
-"""Micro-batching scheduler: identity, coalescing, backpressure, deadlines."""
+"""Micro-batching scheduler: identity, coalescing, backpressure, deadlines,
+slot-driven dispatch."""
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -31,6 +33,32 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def _slowed(scheduler, request, seconds, calls=None):
+    """Make every run of ``request``'s group take ``seconds`` longer.
+
+    Each run appends ``(topology, seed)`` to ``calls`` when given.
+    Returns a ``threading.Event`` set as soon as a run starts.
+    """
+    pipe = scheduler.pipeline_for(request)
+    real_run = pipe.run
+    started = threading.Event()
+
+    def slow_run(ga, **kwargs):
+        started.set()
+        if calls is not None:
+            calls.append((request.topology, kwargs["seed"]))
+        time.sleep(seconds)
+        return real_run(ga, **kwargs)
+
+    pipe.run = slow_run
+    return started
+
+
+async def _until(event):
+    while not event.is_set():
+        await asyncio.sleep(0.001)
+
+
 class TestByteIdentity:
     """A served request == a direct Pipeline.run, batched or not."""
 
@@ -43,7 +71,7 @@ class TestByteIdentity:
         direct = self._direct(request)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01)
+            scheduler = BatchScheduler()
             try:
                 return await scheduler.submit(request)
             finally:
@@ -59,7 +87,7 @@ class TestByteIdentity:
         direct = [self._direct(r) for r in requests]
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
                 return await asyncio.gather(
                     *(scheduler.submit(r) for r in requests)
@@ -77,7 +105,7 @@ class TestByteIdentity:
         direct = [self._direct(r) for r in requests]
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8, workers=2)
+            scheduler = BatchScheduler(max_batch=8, workers=2)
             try:
                 return await asyncio.gather(
                     *(scheduler.submit(r) for r in requests)
@@ -108,7 +136,7 @@ class TestPoolPinning:
         ]
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, max_batch=8, workers=2)
+            scheduler = BatchScheduler(max_batch=8, workers=2)
             try:
                 served = await asyncio.gather(
                     *(scheduler.submit(r) for r in requests)
@@ -141,7 +169,7 @@ class TestPoolPayloadBound:
     def _serve(self, workers, concurrent):
         async def go():
             scheduler = BatchScheduler(
-                window_s=0, workers=workers, max_pipelines=2
+                workers=workers, max_pipelines=2
             )
             try:
                 if concurrent:
@@ -178,7 +206,7 @@ class TestPoolPayloadBound:
 class TestCoalescing:
     def test_identical_requests_computed_once(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
                 return await asyncio.gather(
                     *(scheduler.submit(_request(seed=7)) for _ in range(3))
@@ -195,7 +223,7 @@ class TestCoalescing:
 
     def test_different_seeds_not_coalesced(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
                 return await asyncio.gather(
                     scheduler.submit(_request(seed=0)),
@@ -212,11 +240,11 @@ class TestCoalescing:
 class TestAdmissionControl:
     def test_queue_full_rejects_with_retry_after(self):
         async def go():
-            scheduler = BatchScheduler(window_s=5.0, max_batch=64, max_queue=2)
+            scheduler = BatchScheduler(max_batch=64, max_queue=2)
             try:
                 first = asyncio.ensure_future(scheduler.submit(_request(seed=0)))
                 second = asyncio.ensure_future(scheduler.submit(_request(seed=1)))
-                await asyncio.sleep(0)  # both admitted, window still open
+                await asyncio.sleep(0)  # both admitted, neither answered
                 with pytest.raises(QueueFullError) as exc:
                     await scheduler.submit(_request(seed=2))
                 assert exc.value.retry_after > 0
@@ -244,16 +272,23 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_expiry_while_queued_skips_compute(self):
+        # A slowed run of another group holds the only slot; the request
+        # queued behind it expires before the slot frees.
         async def go():
-            scheduler = BatchScheduler(window_s=0.08, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
-                request = _request(seed=0, deadline_s=0.01)  # < window
+                blocker = _request(seed=0, topology="hq4")
+                started = _slowed(scheduler, blocker, 0.15)
+                running = asyncio.ensure_future(scheduler.submit(blocker))
+                await _until(started)
+                request = _request(seed=0, deadline_s=0.01)
                 with pytest.raises(DeadlineExceededError, match="in queue"):
                     await scheduler.submit(request)
+                await running
                 json_metrics = scheduler.metrics.render_json()
                 assert json_metrics["rejected_total"]["deadline_queued"] == 1
-                # nothing was dispatched for it
-                assert json_metrics["batches_total"] == 0
+                # only the blocker's batch ran; nothing computed for it
+                assert json_metrics["batches_total"] == 1
             finally:
                 scheduler.close()
 
@@ -261,7 +296,7 @@ class TestDeadlines:
 
     def test_expiry_mid_batch_fails_after_compute(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.0, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
                 request = _request(seed=0, deadline_s=0.05)
                 pipe = scheduler.pipeline_for(request)
@@ -284,8 +319,10 @@ class TestDeadlines:
 
     def test_mixed_batch_only_expired_requests_fail(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.08, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
+                # The batch outlives the doomed deadline on any host.
+                _slowed(scheduler, _request(seed=0), 0.05)
                 healthy = scheduler.submit(_request(seed=0))
                 doomed = scheduler.submit(_request(seed=1, deadline_s=0.01))
                 results = await asyncio.gather(
@@ -299,33 +336,82 @@ class TestDeadlines:
         run(go())
 
 
-class TestWindows:
-    def test_empty_window_flush_is_noop(self):
+class TestDispatch:
+    def test_idle_scheduler_dispatches_within_three_ticks(self):
+        # No timer: a request that finds the slot free leaves on the next
+        # tick, so its run starts even while the loop is blocked after
+        # three ticks (a timer could not fire then).
         async def go():
-            scheduler = BatchScheduler(window_s=0.01)
+            scheduler = BatchScheduler()
             try:
-                scheduler._flush("no-such-group")  # missing group
-                result = await scheduler.submit(_request(seed=0))
-                # the group now exists but is drained; a stray timer fire
-                # must be harmless
-                scheduler._flush(_request(seed=0).group_key())
-                await asyncio.sleep(0.03)
-                assert result.batch_size == 1
-                assert scheduler.pending == 0
+                request = _request(seed=0)
+                started = _slowed(scheduler, request, 0.0)
+                served = asyncio.ensure_future(scheduler.submit(request))
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert started.wait(timeout=5.0)
+                assert (await served).batch_size == 1
             finally:
                 scheduler.close()
 
         run(go())
 
+    def test_requests_behind_a_busy_slot_leave_as_one_batch(self):
+        async def go():
+            scheduler = BatchScheduler()
+            try:
+                blocker = _request(seed=0, topology="hq4")
+                started = _slowed(scheduler, blocker, 0.3)
+                running = asyncio.ensure_future(scheduler.submit(blocker))
+                await _until(started)
+                waiting = []
+                for seed in range(3):  # 40 ms apart, all while the slot is busy
+                    waiting.append(
+                        asyncio.ensure_future(scheduler.submit(_request(seed=seed)))
+                    )
+                    await asyncio.sleep(0.04)
+                await running
+                served = await asyncio.gather(*waiting)
+                return served, scheduler.metrics.render_json()
+            finally:
+                scheduler.close()
+
+        served, metrics = run(go())
+        assert [s.batch_size for s in served] == [3, 3, 3]
+        assert metrics["batches_total"] == 2
+
+    def test_hot_group_goes_to_the_back_of_the_queue(self):
+        # max_batch=2: the group with 5 queued jobs takes 2, then waits
+        # behind the other group's job instead of holding the slot.
+        hot = [_request(seed=s) for s in range(5)]
+        other = _request(seed=0, topology="hq4")
+        calls = []
+
+        async def go():
+            scheduler = BatchScheduler(max_batch=2)
+            try:
+                _slowed(scheduler, hot[0], 0.0, calls)
+                _slowed(scheduler, other, 0.0, calls)
+                await asyncio.gather(*(scheduler.submit(r) for r in hot + [other]))
+                return scheduler.metrics.render_json()
+            finally:
+                scheduler.close()
+
+        metrics = run(go())
+        assert calls == [
+            ("grid4x4", 0), ("grid4x4", 1), ("hq4", 0),
+            ("grid4x4", 2), ("grid4x4", 3), ("grid4x4", 4),
+        ]
+        assert metrics["batches_total"] == 4
+
     def test_max_batch_overflow_splits_dispatches(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.5, max_batch=2)
+            scheduler = BatchScheduler(max_batch=2)
             try:
                 served = await asyncio.gather(
                     *(scheduler.submit(_request(seed=s)) for s in range(5))
                 )
-                # 5 requests with max_batch=2 -> 3 dispatches, none waiting
-                # for the long window once the first batch filled
+                # 5 requests with max_batch=2 -> 3 dispatches
                 assert scheduler.metrics.render_json()["batches_total"] == 3
                 assert max(s.batch_size for s in served) == 2
             finally:
@@ -335,7 +421,7 @@ class TestWindows:
 
     def test_pipeline_cache_is_bounded(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.02, max_batch=8,
+            scheduler = BatchScheduler(max_batch=8,
                                        max_pipelines=2)
             try:
                 served = await asyncio.gather(*(
@@ -361,7 +447,7 @@ class TestWindows:
 
     def test_groups_split_by_topology_and_config(self):
         async def go():
-            scheduler = BatchScheduler(window_s=0.05, max_batch=8)
+            scheduler = BatchScheduler(max_batch=8)
             try:
                 a = scheduler.submit(_request(seed=0, topology="grid4x4"))
                 b = scheduler.submit(_request(seed=0, topology="hq4"))
@@ -380,7 +466,7 @@ class TestResponseCacheHotPath:
         request = _request(seed=11)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01)
+            scheduler = BatchScheduler()
             try:
                 first = await scheduler.submit(request)
                 second = await scheduler.submit(request)
@@ -407,7 +493,7 @@ class TestResponseCacheHotPath:
         request = _request(seed=12)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, max_queue=1)
+            scheduler = BatchScheduler(max_queue=1)
             try:
                 await scheduler.submit(request)
                 scheduler._pending = scheduler.max_queue  # saturate
@@ -425,7 +511,7 @@ class TestResponseCacheHotPath:
         request = _request(seed=11)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, response_cache_size=0)
+            scheduler = BatchScheduler(response_cache_size=0)
             try:
                 first = await scheduler.submit(request)
                 second = await scheduler.submit(request)
@@ -443,7 +529,7 @@ class TestResponseCacheHotPath:
         request = _request(seed=11)
 
         async def go():
-            scheduler = BatchScheduler(window_s=0.01, response_cache_bytes=1)
+            scheduler = BatchScheduler(response_cache_bytes=1)
             try:
                 await scheduler.submit(request)
                 return (
@@ -461,7 +547,7 @@ class TestResponseCacheHotPath:
     def test_different_identity_misses(self):
         # Same topology/config, different seed -> different work_key.
         async def go():
-            scheduler = BatchScheduler(window_s=0.01)
+            scheduler = BatchScheduler()
             try:
                 await scheduler.submit(_request(seed=21))
                 return (

@@ -29,7 +29,7 @@ from repro.serve.service import (
 
 @pytest.fixture
 def service():
-    scheduler = BatchScheduler(window_s=0.01, max_batch=8)
+    scheduler = BatchScheduler(max_batch=8)
     svc = MappingService(scheduler)
     yield svc
     scheduler.close()
@@ -205,6 +205,60 @@ class TestMalformedGraphSpecs:
         assert reply["mu"] == plain[1]["mu"]
 
 
+class TestWireFieldValidation:
+    """Request and config fields are validated on the wire, never coerced."""
+
+    def _map(self, service, **fields):
+        return asyncio.run(service.handle("map", _map_body() | fields))
+
+    def _assert_rejected(self, reply, status, field):
+        assert status == 400 and reply["error"] == "bad_request", reply
+        assert field in reply["message"]
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_allow_degraded(self, service, value):
+        status, reply, _ = self._map(service, allow_degraded=value)
+        self._assert_rejected(reply, status, "allow_degraded")
+
+    @pytest.mark.parametrize("key", ["nh", "n_hierarchies"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_nh(self, service, key, value):
+        status, reply, _ = self._map(service, config={key: value})
+        self._assert_rejected(reply, status, f"config.{key}")
+
+    @pytest.mark.parametrize(
+        "value", [True, "5", "nan", "inf", float("nan"), float("inf")]
+    )
+    def test_deadline_s(self, service, value):
+        status, reply, _ = self._map(service, deadline_s=value)
+        self._assert_rejected(reply, status, "deadline_s")
+
+    @pytest.mark.parametrize("value", [-1, float("nan"), "0.1", True])
+    def test_epsilon(self, service, value):
+        status, reply, _ = self._map(service, config={"nh": 1, "epsilon": value})
+        self._assert_rejected(reply, status, "config.epsilon")
+
+    @pytest.mark.parametrize("key", ["verify", "report"])
+    @pytest.mark.parametrize("value", ["abc", [1]])
+    def test_hook_lists(self, service, key, value):
+        status, reply, _ = self._map(service, config={"nh": 1, key: value})
+        self._assert_rejected(reply, status, f"config.{key}")
+
+    @pytest.mark.parametrize("value", [None, "x", [1]])
+    def test_config_object(self, service, value):
+        status, reply, _ = self._map(service, config=value)
+        self._assert_rejected(reply, status, "config must be an object")
+
+    def test_valid_values_keep_their_keys(self):
+        base = parse_request(_map_body() | {"config": {"nh": 2}})
+        for config in ({"nh": 2.0}, {"nh": 2, "epsilon": 0.03}):
+            same = parse_request(
+                _map_body() | {"config": config, "allow_degraded": False}
+            )
+            assert same.group_key() == base.group_key()
+            assert same.work_key() == base.work_key()
+
+
 class TestOps:
     def test_map_round_trip_matches_direct(self, service):
         body = _map_body(seed=5)
@@ -219,7 +273,7 @@ class TestOps:
         assert reply["batch"]["size"] == 1
 
     def test_malformed_inline_graph_fails_alone(self, service):
-        # Same group, same window: the bad edge fails only its request.
+        # Same group, same dispatch: the bad edge fails only its request.
         bad = {
             "topology": "grid4x4",
             "graph": {"kind": "edges", "n": 3, "edges": [[0, 7, 1]]},
@@ -303,7 +357,7 @@ class TestOps:
         assert data["requests_total"] == 1
         assert data["labelings_computed"] == 1
 
-    def test_batch_op_shares_one_window(self, service):
+    def test_batch_op_shares_one_dispatch(self, service):
         payload = {
             "requests": [
                 {**_map_body(seed=0), "id": "a"},
@@ -341,7 +395,7 @@ class TestOps:
 
 class TestAdmissionHook:
     def test_hook_registered_and_enforces_limit(self):
-        scheduler = BatchScheduler(window_s=0.01)
+        scheduler = BatchScheduler()
         try:
             svc = MappingService(scheduler, max_graph_n=10)
             assert svc.admission_hook == f"{ADMISSION_HOOK}-10"
@@ -357,7 +411,7 @@ class TestAdmissionHook:
 
     def test_two_services_keep_distinct_limits(self):
         """The hook name encodes the limit: no cross-service clobbering."""
-        s1, s2 = BatchScheduler(window_s=0.01), BatchScheduler(window_s=0.01)
+        s1, s2 = BatchScheduler(), BatchScheduler()
         try:
             a = MappingService(s1, max_graph_n=10)
             b = MappingService(s2)  # no limit
@@ -420,7 +474,7 @@ class TestAdmissionHook:
         limit = 499
         name = f"{ADMISSION_HOOK}-{limit}"
         REGISTRY.unregister(VERIFY, name)  # no earlier test may leak it
-        scheduler = BatchScheduler(window_s=0.01, workers=1)
+        scheduler = BatchScheduler(workers=1)
         try:
             svc = MappingService(scheduler, max_graph_n=limit)
             assert svc.admission_hook == name
@@ -431,7 +485,7 @@ class TestAdmissionHook:
             register_admission_hook(None)
 
     def test_oversized_request_rejected_before_compute(self):
-        scheduler = BatchScheduler(window_s=0.01)
+        scheduler = BatchScheduler()
         try:
             svc = MappingService(scheduler, max_graph_n=50)
             status, reply, _ = asyncio.run(svc.handle("map", _map_body()))
@@ -447,7 +501,7 @@ class TestHTTP:
     @pytest.fixture(scope="class")
     def server(self):
         with ServerThread(
-            ServeSettings(port=0, window_ms=10, max_batch=8)
+            ServeSettings(port=0, max_batch=8)
         ) as srv:
             yield srv
         register_admission_hook(None)
@@ -493,6 +547,31 @@ class TestHTTP:
         raw = asyncio.run(go())
         assert b"400" in raw.split(b"\r\n", 1)[0]
         assert b"invalid JSON" in raw
+
+    @pytest.mark.parametrize(
+        "body", [b"[" * 200_000, b'{"topology": "\xff"}'],
+        ids=["deep-nesting", "invalid-utf8"],
+    )
+    def test_undecodable_body_400(self, server, body):
+        async def go():
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(
+                b"POST /map HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            await writer.drain()
+            data = await reader.read()
+            writer.close()
+            return data
+
+        responses = server.service.metrics.counter("responses_total")
+        before = responses.labels().get("400", 0)
+        raw = asyncio.run(go())
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"invalid JSON" in raw
+        assert responses.labels()["400"] == before + 1
 
     def test_oversized_headers_rejected(self, server):
         # The server may reset the connection while the client is still
@@ -579,10 +658,10 @@ class TestStdio:
         assert by_id[4]["requests_total"] == 1
 
     def test_in_flight_pipelining_returns_out_of_order(self, service):
-        # A map line parks in the 10ms batching window; a healthz line
-        # sent right behind it must NOT wait for it -- its response
-        # overtakes the map's.  This is the contract that makes many
-        # back-to-back map lines share one batching window.
+        # A map line waits for its compute; a healthz line sent right
+        # behind it must NOT wait for it -- its response overtakes the
+        # map's.  This is the contract that makes many back-to-back map
+        # lines share one dispatch.
         lines = [
             json.dumps({"op": "map", "id": "slow", **_map_body(seed=11)}),
             json.dumps({"op": "healthz", "id": "quick"}),
@@ -602,8 +681,8 @@ class TestStdio:
         assert isinstance(replies[1]["mu"], list)
 
     def test_concurrent_map_lines_share_a_batch(self, service):
-        # Two identical-config map lines admitted within one window are
-        # batched together -- the whole point of pipelining stdio.
+        # Two identical-config map lines admitted in one tick leave in
+        # one dispatch -- the whole point of pipelining stdio.
         lines = [
             json.dumps({"op": "map", "id": i, **_map_body(seed=i)})
             for i in (1, 2)
@@ -640,6 +719,22 @@ class TestStdio:
         replies = [json.loads(line) for line in out]
         assert replies[0]["error"] == "bad_request"
         assert "size limit" in replies[0]["message"]
+        assert replies[1]["status_code"] == 200 and replies[1]["id"] == 9
+
+    def test_too_deeply_nested_line_answers_error_and_continues(self, service):
+        lines = ["[" * 100_000, json.dumps({"op": "healthz", "id": 9})]
+        out: list[str] = []
+
+        async def go():
+            reader = asyncio.StreamReader(limit=1 << 20)  # holds the line
+            reader.feed_data(("\n".join(lines) + "\n").encode())
+            reader.feed_eof()
+            await serve_stdio(service, reader, out.append)
+
+        asyncio.run(go())
+        replies = [json.loads(line) for line in out]
+        assert replies[0]["error"] == "bad_request"
+        assert "invalid JSON" in replies[0]["message"]
         assert replies[1]["status_code"] == 200 and replies[1]["id"] == 9
 
     def test_oversized_final_line_without_newline(self, service):

@@ -11,7 +11,7 @@ import asyncio
 
 from repro.obs.trace import TraceBuffer, Tracer, tree_signature
 from repro.serve.loadgen import LoadProfile, http_request_json, plan_requests
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import PROFILE_TOP, BatchScheduler
 from repro.serve.service import MappingService, ServeSettings, ServerThread
 
 
@@ -28,7 +28,7 @@ def _map_body(seed=0, **extra):
 def _service(**scheduler_kwargs):
     tracer = Tracer(process="serve", buffer=TraceBuffer())
     scheduler = BatchScheduler(
-        window_s=0.01, max_batch=8, tracer=tracer, **scheduler_kwargs
+        max_batch=8, tracer=tracer, **scheduler_kwargs
     )
     return MappingService(scheduler), scheduler
 
@@ -115,7 +115,7 @@ class TestServiceTracing:
 
     def test_disabled_tracer_serves_without_spans(self):
         tracer = Tracer(process="serve", buffer=TraceBuffer(), enabled=False)
-        scheduler = BatchScheduler(window_s=0.01, max_batch=8, tracer=tracer)
+        scheduler = BatchScheduler(max_batch=8, tracer=tracer)
         service = MappingService(scheduler)
         try:
             status, body, _ = asyncio.run(service.handle("map", _map_body()))
@@ -147,14 +147,14 @@ class TestPoolSpanShipping:
 
 class TestProfileHook:
     def test_profile_attaches_hotspot_frames_to_the_compute_span(self):
-        service, scheduler = _service(profile=True, profile_top=5)
+        service, scheduler = _service(profile=True)
         try:
             status, body, _ = asyncio.run(service.handle("map", _map_body()))
             assert status == 200 and body["ok"]
             spans = service.tracer.buffer.get(body["trace_id"])
             compute = next(s for s in spans if s["name"] == "compute")
             frames = compute["attrs"]["profile"]
-            assert frames and len(frames) <= 5
+            assert frames and len(frames) <= PROFILE_TOP
             assert all("frame" in f and "cumtime" in f for f in frames)
         finally:
             scheduler.close()
@@ -186,7 +186,7 @@ class TestClusterTracing:
     """The acceptance walk: a real server process with 2 pool workers."""
 
     def _run_server_once(self, body):
-        with ServerThread(ServeSettings(port=0, window_ms=5, workers=2)) as srv:
+        with ServerThread(ServeSettings(port=0, workers=2)) as srv:
             status, reply = asyncio.run(
                 http_request_json(srv.host, srv.port, "POST", "/map", body)
             )
