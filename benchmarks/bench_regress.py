@@ -15,14 +15,18 @@ best-of-``repeats`` wall time; the runner exits non-zero if a kernel
 regresses below its floor (swap_pass >= 5x, partial-cube labeling >= 3x),
 making it usable as a CI smoke gate.
 
-The ``wide_hierarchy`` entry times one whole hierarchy walk of the
-enhancer (``_one_hierarchy``: permute, swap and contract at every level,
-assemble) on the multi-word workload below, against the same walk on
-the sort-based, whole-level oracles (``contract_level_reference``,
-``assemble_reference``, a ``sibling_pairs`` that sorts the labels every
-level, and swap gains that sum every CSR row and scan every edge for
-the pair weights); its floor (>= 1.5x) keeps a hierarchy at one label
-sort.
+The ``wide_hierarchy`` entry times one whole hierarchy of the enhancer
+(``_one_hierarchy``: permute, swap and contract at every level,
+assemble) on the multi-word workload below, as production runs it,
+against the level walk forced onto the sort-based, whole-level oracles
+(``contract_level_reference``, ``assemble_reference``, a
+``sibling_pairs`` that sorts the labels every level, and swap gains that
+sum every CSR row and scan every edge for the pair weights); its floor
+(>= 1.5x) keeps a hierarchy at one label sort.  The ``hierarchy_blocks``
+entry times the same hierarchy on the production level walk
+(``blocks=False``) against its greedy passes solved a block of levels
+at a time (``blocks=True``), outputs checked identical first; its floor
+(>= 2x) keeps the blocks worth their code.
 
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
@@ -89,6 +93,7 @@ FLOORS = {
     "wide_swap_pass": 3.0,
     "wide_partial_cube_labeling": 3.0,
     "wide_hierarchy": 1.5,
+    "hierarchy_blocks": 2.0,
     "fm_refine": 3.0,
     "grow_bisection": 2.0,
     "kway_refine": 3.0,
@@ -335,23 +340,31 @@ def run(repeats: int = 5) -> dict:
     perm = np.random.default_rng(6).permutation(wide_app.dim).astype(np.int64)
     finest_csr = build_csr(ga.n, *edges)
 
-    def walk():
+    def walk(blocks=None):
         return enhancer._one_hierarchy(
             edges, wide_app.labels, wide_app.dim, wide_app.dim_e, perm,
-            TimerConfig(), finest_csr,
+            TimerConfig(), finest_csr, blocks,
         )
 
     def before_walk():
         with _sort_based_hierarchy():
-            return walk()
+            return walk(blocks=False)
 
     if not np.array_equal(before_walk(), walk()):
         raise AssertionError("one-sort hierarchy diverged from the sort-based oracles")
+    hierarchy = "BA n=2000 m=4 on fattree2x7 (dim 257, 5-word labels), one hierarchy: "
     results["wide_hierarchy"] = {
-        "workload": "BA n=2000 m=4 on fattree2x7 (dim 257, 5-word labels), "
-        "one hierarchy: 255 swap+contract levels, then assembly",
+        "workload": hierarchy + "255 swap+contract levels, then assembly "
+        "(sort-based oracles on the level walk vs production)",
         "before_s": _best_of(before_walk, repeats),
         "after_s": _best_of(walk, repeats),
+    }
+    if not np.array_equal(walk(blocks=False), walk(blocks=True)):
+        raise AssertionError("block hierarchy diverged from the level walk")
+    results["hierarchy_blocks"] = {
+        "workload": hierarchy + "the level walk vs swap passes solved in blocks",
+        "before_s": _best_of(lambda: walk(blocks=False), repeats),
+        "after_s": _best_of(lambda: walk(blocks=True), repeats),
     }
 
     def before_wide_pc():

@@ -88,7 +88,7 @@ def assemble(levels: list[Level], dim: int) -> np.ndarray:
             if parent is None:
                 raise RuntimeError(f"level {j} has no parent pointers")
             anc = parent[anc]
-            pref = label_lsb(levels[j].labels)[anc]
+            pref = levels[j].lsb()[anc]
         else:
             # No coarser level prescribes this digit (the MSB, and any
             # digit beyond the built hierarchy): prefer the vertex's own
@@ -140,7 +140,7 @@ def assemble_reference(levels: list[Level], dim: int) -> np.ndarray:
             if parent is None:
                 raise RuntimeError(f"level {j} has no parent pointers")
             anc = parent[anc]
-            pref = label_lsb(levels[j].labels)[anc]
+            pref = levels[j].lsb()[anc]
         else:
             # No coarser level prescribes this digit (the MSB, and any
             # digit beyond the built hierarchy): prefer the vertex's own

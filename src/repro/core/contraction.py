@@ -9,14 +9,12 @@ the limit and the whole hierarchy costs ``O(|E_a| * dim_Ga)``.
 Unlike the partitioner's matching-based coarsening, the grouping here is
 purely label-driven -- "oblivious to G_a's edges" as the paper stresses.
 
-Two ways to the coarse CSR: the finest level is numbered as the caller's
-graph, so its coarse edges are merged by a sort and the coarse CSR is
-placed from them.  Every coarser level is numbered in label order, so
-its parents do not decrease and every merge is ``(r, r + 1)``; its
-coarse CSR is patched from its own (:func:`_patched_csr`), unless the
-level is small or its merged rows hold a large share of its entries
-(:data:`PATCH_MIN_ENTRIES`, :data:`PATCH_MAX_MERGED_SHARE`).  Both give
-:func:`contract_level_reference`'s arrays.
+This is the level walk, which float weights and KL swaps take: every
+contraction merges the level's edges by a sort and places the coarse
+CSR from them, array for array :func:`contract_level_reference`'s.  On
+exact weights the greedy passes run a block of levels at a time
+(:mod:`repro.core.blocks`), and ``contract_level`` hands out the next
+view of the hierarchy instead.
 """
 
 from __future__ import annotations
@@ -25,31 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.blocks import LevelView
 from repro.utils.bitops import (
     adjacent_siblings,
     argsort_labels,
     as_label_array,
+    label_lsb,
     shift_right_labels,
     unique_labels,
 )
 from repro.utils.segments import (
     build_csr,
-    concat_ranges,
     counting_argsort,
     group_reduce_sum,
     run_sums,
     sorted_runs,
 )
-
-#: A contracted level patches its coarse CSR when it holds at least
-#: ``PATCH_MIN_ENTRIES`` CSR entries and its merged rows hold at most
-#: ``PATCH_MAX_MERGED_SHARE`` of them.  The patch pays a fixed cost of
-#: several dozen numpy calls, then per entry it renumbers and per
-#: merged-row entry it rebuilds; a rebuild pays per entry, sort
-#: included.  On smaller levels, or past that share, a rebuild is
-#: cheaper.
-PATCH_MIN_ENTRIES = 4096
-PATCH_MAX_MERGED_SHARE = 1 / 8
 
 
 @dataclass
@@ -71,19 +60,15 @@ class Level:
     The adjacency never changes after construction (swaps only permute
     ``labels``).  The finest level keeps the caller's edge arrays
     ``edges = (us, vs, ws)`` and builds ``csr`` on first use
-    (:func:`repro.core.kernels.level_csr`).  A ``contracted`` level is
-    numbered in label order, so its ``order`` is the identity, and its
-    ``csr = (indptr, indices, weights)`` is canonical: no parallel
-    edges, and every row lists its larger neighbours ascending, then its
-    smaller neighbours ascending.  It keeps ``edges`` only when its CSR
-    was placed from them; a patched CSR is its only adjacency.
+    (:func:`repro.core.kernels.level_csr`).  A contracted level is
+    numbered in label order, so its ``order`` is the identity; it keeps
+    its merged edges and the CSR placed from them.
     """
 
     labels: np.ndarray
     order: np.ndarray
     edges: tuple | None = None
     csr: tuple | None = None
-    contracted: bool = False
     parent: np.ndarray | None = None
     siblings: np.ndarray | None = None
 
@@ -92,18 +77,12 @@ class Level:
         return int(self.labels.shape[0])
 
     def edge_arrays(self) -> tuple:
-        """``(us, vs, ws)``: the level's edges as it keeps them.
+        """``(us, vs, ws)``: the level's edges."""
+        return self.edges
 
-        A patched level reads them off its CSR's upper entries in row
-        order, so they come out sorted by ``(u, v)`` with ``u < v``, as
-        a contraction's merged edges do.
-        """
-        if self.edges is not None:
-            return self.edges
-        indptr, indices, weights = self.csr
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        upper = indices > rows
-        return rows[upper], indices[upper], weights[upper]
+    def lsb(self) -> np.ndarray:
+        """The least significant bit of every label (what assembly reads)."""
+        return label_lsb(self.labels)
 
     @property
     def us(self) -> np.ndarray:
@@ -143,7 +122,7 @@ def sibling_mask(level: Level) -> np.ndarray:
     return level.siblings
 
 
-def contract_level(level: Level) -> Level:
+def contract_level(level: Level | LevelView) -> Level | LevelView:
     """Build the next-coarser level (cut the least significant digit).
 
     Sets ``level.parent`` as a side effect and returns the coarse level.
@@ -153,13 +132,13 @@ def contract_level(level: Level) -> Level:
 
     Coarse vertices are numbered by prefix rank, read off the runs of
     equal prefixes along ``level.order`` (:func:`sibling_mask`), so the
-    coarse level's own order is the identity.  A contracted level of at
-    least :data:`PATCH_MIN_ENTRIES` CSR entries, of which its merged rows
-    hold at most :data:`PATCH_MAX_MERGED_SHARE`, patches its CSR
-    (:func:`_patched_csr`); any other level merges its edges by a sort
-    and places the coarse CSR from them.  Labels, parents, edges and CSR
-    equal :func:`contract_level_reference`'s array for array.
+    coarse level's own order is the identity.  Labels, parents, edges and
+    CSR equal :func:`contract_level_reference`'s array for array.  A
+    block hierarchy's view returns its next view
+    (:meth:`~repro.core.blocks.LevelView.contract`).
     """
+    if isinstance(level, LevelView):
+        return level.contract()
     n = level.n
     merged = sibling_mask(level)
     starts = np.ones(n, dtype=bool)
@@ -170,22 +149,12 @@ def contract_level(level: Level) -> Level:
     heads = level.order[starts]
     coarse_labels = shift_right_labels(np.take(level.labels, heads, axis=0), 1)
     n_c = coarse_labels.shape[0]
-    order = np.arange(n_c, dtype=np.int64)
-    if level.contracted and level.csr[0][-1] >= PATCH_MIN_ENTRIES:
-        # In label order every merge is (r, r + 1).
-        first = np.flatnonzero(merged)
-        indptr = level.csr[0]
-        merged_entries = int((indptr[first + 2] - indptr[first]).sum())
-        if merged_entries <= PATCH_MAX_MERGED_SHARE * int(indptr[-1]):
-            csr = _patched_csr(level.csr, parent, heads, first)
-            return Level(labels=coarse_labels, order=order, csr=csr, contracted=True)
     edges = _merge_edges(parent, level.edge_arrays(), n_c)
     return Level(
         labels=coarse_labels,
-        order=order,
+        order=np.arange(n_c, dtype=np.int64),
         edges=edges,
         csr=_csr_of_sorted_edges(n_c, *edges),
-        contracted=True,
     )
 
 
@@ -243,81 +212,6 @@ def _csr_of_sorted_edges(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray)
     return indptr, indices, weights
 
 
-def _patched_csr(
-    csr: tuple, parent: np.ndarray, heads: np.ndarray, first: np.ndarray
-) -> tuple:
-    """The coarse CSR of a contracted level, patched from its canonical CSR.
-
-    ``(r, r + 1)`` merges for every ``r`` in ``first``, the parents do
-    not decrease, and ``heads`` holds each coarse vertex's first fine
-    vertex.  The coarse rows come in the fine rows' order:
-
-    - A row that does not merge keeps its entries in order, renumbered
-      through ``parent``: a larger neighbour stays larger and a smaller
-      one smaller.  Only a merged neighbour pair ``(t, t + 1)`` maps to
-      one id, and it sits side by side in the row; it collapses into one
-      entry weighing ``w[e] + w[e + 1]``, which is what ``run_sums``
-      gives for a run of the two edges.  The last entry of row ``r`` and
-      the first of row ``r + 1`` can map to one id too (row ``r`` ending
-      with a smaller neighbour, row ``r + 1`` without a larger one), so
-      a collapse checks that both entries share a row.
-    - A merged pair's two rows are rebuilt: the entries inside the pair
-      are dropped, the rest grouped by coarse neighbour and summed with
-      ``run_sums`` in the ``(min, max)`` order of their fine edges --
-      the reference's order -- and the groups laid out larger neighbours
-      ascending, then smaller ones ascending.  They take the head of the
-      two rows' span, and the rest of the span is dropped.
-
-    The coarse arrays are then the fine ones with the dropped entries
-    left out, so a coarse row starts where its first fine row did, less
-    the entries dropped before it.
-    """
-    indptr, indices, weights = csr
-    n_c = heads.shape[0]
-    renumbered = parent[indices]
-    # The merged rows' entries outside their pair, by block (merged pair).
-    lo = indptr[first]
-    spans = indptr[first + 2] - lo
-    merged_at = concat_ranges(lo, spans)
-    block = np.repeat(np.arange(first.shape[0], dtype=np.int64), spans)
-    coarse_row = parent[first]
-    nbr = renumbered[merged_at]
-    outside = nbr != coarse_row[block]
-    at, block, nbr = merged_at[outside], block[outside], nbr[outside]
-    smaller = nbr < coarse_row[block]
-    # A coarse edge's fine edges join (r or r + 1) to (t or t + 1); the
-    # two offsets order them by (min, max).
-    row_off = (at >= indptr[first + 1][block]).astype(np.int64)
-    nbr_off = (indices[at] != heads[nbr]).astype(np.int64)
-    edge_rank = np.where(smaller, 2 * nbr_off + row_off, 2 * row_off + nbr_off)
-    key = ((2 * block + smaller) * n_c + nbr) * 4 + edge_rank
-    by = np.argsort(key)
-    group_key = key[by] >> 2
-    new_group = np.ones(by.shape[0], dtype=bool)
-    new_group[1:] = group_key[1:] != group_key[:-1]
-    group = by[new_group]
-    group_counts = np.bincount(block[group], minlength=first.shape[0])
-    # The other rows: a repeated id inside one row is a merged neighbour.
-    in_merged = np.zeros(parent.shape[0], dtype=bool)
-    in_merged[first] = True
-    in_merged[first + 1] = True
-    repeat = np.flatnonzero(renumbered[1:] == renumbered[:-1]) + 1
-    repeat_row = np.searchsorted(indptr, repeat, side="right") - 1
-    repeat = repeat[(repeat > indptr[repeat_row]) & ~in_merged[repeat_row]]
-    summed = weights.copy()
-    summed[repeat - 1] += weights[repeat]
-    rebuilt = concat_ranges(lo, group_counts)
-    renumbered[rebuilt] = nbr[group]
-    summed[rebuilt] = run_sums(weights[at[by]], np.flatnonzero(new_group))
-    dropped = np.sort(
-        np.concatenate([concat_ranges(lo + group_counts, spans - group_counts), repeat])
-    )
-    keep = np.ones(indices.shape[0], dtype=bool)
-    keep[dropped] = False
-    starts = indptr[np.append(heads, parent.shape[0])]
-    return starts - np.searchsorted(dropped, starts), renumbered[keep], summed[keep]
-
-
 def contract_level_reference(level: Level) -> Level:
     """The sort-based contraction :func:`contract_level` replaced (test oracle).
 
@@ -349,7 +243,6 @@ def contract_level_reference(level: Level) -> Level:
         order=np.arange(n_c, dtype=np.int64),
         edges=(mu_, mv_, merged_w),
         csr=build_csr(n_c, mu_, mv_, merged_w),
-        contracted=True,
     )
 
 

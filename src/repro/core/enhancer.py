@@ -11,7 +11,9 @@ Per hierarchy (paper lines 3-20):
    permute all labels (lines 6-7);
 2. walk the hierarchy bottom-up: greedy sibling swaps on the current
    level (lines 10-12, :mod:`~repro.core.swaps`), then contract the least
-   significant digit away (line 13, :mod:`~repro.core.contraction`);
+   significant digit away (line 13, :mod:`~repro.core.contraction`); on
+   exact weights the greedy passes are solved a block of levels at a
+   time (:mod:`~repro.core.blocks`), through the same per-level calls;
 3. reassemble a fine labeling from the swapped hierarchy (line 15,
    :mod:`~repro.core.assemble`), undo the permutation (line 16);
 4. keep the new labeling only if ``Coco+`` did not get worse
@@ -29,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assemble import assemble
+from repro.core.blocks import BlockHierarchy, LevelView
 from repro.core.config import TimerConfig
 from repro.core.contraction import Level, contract_level, make_finest_level
 from repro.core.labels import ApplicationLabeling, build_application_labeling
 from repro.core.objective import coco_of_labels, coco_plus, div_of_labels
 from repro.core.swaps import kl_swap_pass, swap_pass
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, exact_weights
 from repro.partialcube.djokovic import PartialCubeLabeling, partial_cube_labeling
 from repro.partitioning.metrics import edge_cut
 from repro.utils.rng import SeedLike, make_rng
@@ -192,23 +195,44 @@ def _one_hierarchy(
     perm: np.ndarray,
     cfg: TimerConfig,
     finest_csr: tuple | None = None,
+    blocks: bool | None = None,
 ) -> np.ndarray:
-    """Lines 5-16 of Algorithm 1 for one permutation."""
+    """Lines 5-16 of Algorithm 1 for one permutation.
+
+    ``blocks`` picks how the levels run: ``True`` solves the greedy
+    passes a block of levels at a time (:mod:`repro.core.blocks`),
+    ``False`` walks level by level, and ``None`` takes blocks exactly
+    when the swaps are greedy and the weights exact
+    (:func:`~repro.graphs.graph.exact_weights`).  Both give the same
+    labels there; the walk is the only byte-identical path for float
+    weights, and the only one for KL swaps.
+    """
     plab = permute_bits(labels, perm)
     # Permuted bit j came from original bit perm[j]; original bits >= dim_e
     # belong to the lp part (+1 toward Coco), the rest to le (-1 via Div).
     signs = np.where(perm >= dim_e, 1, -1).astype(np.int64)
+    if finest_csr is None:
+        finest_csr = build_csr(plab.shape[0], *edges)
+    if blocks is None:
+        blocks = cfg.swap_strategy == "greedy" and exact_weights(finest_csr[2])
     do_swaps = kl_swap_pass if cfg.swap_strategy == "kl" else swap_pass
-    levels: list[Level] = [make_finest_level(edges, plab)]
-    levels[0].csr = finest_csr
+    coarsest = cfg.swap_coarsest and dim >= 3
+    if blocks:
+        top = dim - 1 if coarsest else dim - 2
+        hierarchy = BlockHierarchy(finest_csr, plab, signs, cfg.sweeps_per_level, top)
+        levels: list[Level | LevelView] = [hierarchy.finest()]
+    else:
+        levels = [make_finest_level(edges, plab)]
+        levels[0].csr = finest_csr
     for i in range(2, dim):  # paper: i = 2 .. dim_Ga - 1
         lev = levels[-1]
         do_swaps(lev, int(signs[i - 2]), sweeps=cfg.sweeps_per_level)
         levels.append(contract_level(lev))
-        # Assembly reads only labels and parents; the coarsest level
-        # keeps its adjacency for the optional swap below.
-        lev.edges = lev.csr = None
-    if cfg.swap_coarsest and len(levels) >= 2:
+        if not blocks:
+            # Assembly reads only labels and parents; the coarsest level
+            # keeps its adjacency for the optional swap below.
+            lev.edges = lev.csr = None
+    if coarsest:
         do_swaps(levels[-1], int(signs[dim - 2]), sweeps=cfg.sweeps_per_level)
     new_plab = assemble(levels, dim)
     return unpermute_bits(new_plab, perm)

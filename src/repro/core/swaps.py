@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.blocks import LevelView
 from repro.core.contraction import Level, sibling_mask
 from repro.core.kernels import (
     batch_pair_deltas,
@@ -53,7 +54,7 @@ __all__ = [
 
 
 def swap_pass(
-    level: Level,
+    level: Level | LevelView,
     sign: int,
     sweeps: int = 1,
     csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -63,8 +64,13 @@ def swap_pass(
     Returns ``(n_swaps, total_delta)`` where ``total_delta`` is the summed
     (negative) change of the level's ``Coco+`` estimate.  Delegates to the
     vectorized :func:`repro.core.kernels.batch_swap_pass`, which produces
-    the same final labeling as the scalar sweep.
+    the same final labeling as the scalar sweep.  On a block hierarchy's
+    view the pass is part of its block's solve
+    (:meth:`~repro.core.blocks.LevelView.swap_pass`), which returns the
+    same pair.
     """
+    if isinstance(level, LevelView):
+        return level.swap_pass(sign, sweeps)
     return batch_swap_pass(level, sign, sweeps=sweeps, csr=csr)
 
 

@@ -23,6 +23,23 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.utils.segments import concat_ranges
 
+#: above this total weight a float sum of integers may round
+_EXACT_LIMIT = 2.0**53
+
+
+def exact_weights(weights: np.ndarray) -> bool:
+    """Whether every sum of a subset of ``weights`` is an exact float.
+
+    True when every weight is an integer and their absolute values sum
+    below ``2**53``: every partial sum, gain and update is then an
+    exactly representable integer, so the order of additions cannot
+    matter.  Pass a graph's CSR ``weights`` (each edge twice).  FM,
+    greedy growing and the enhancer's block hierarchies take their fast
+    paths only then.
+    """
+    w = np.asarray(weights)
+    return bool(np.all(w == np.floor(w))) and float(np.abs(w).sum()) < _EXACT_LIMIT
+
 
 class Graph:
     """Undirected, edge-weighted graph in CSR form.

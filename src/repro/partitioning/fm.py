@@ -12,10 +12,10 @@ if it sits on ``s`` (the edge is now cut) and ``-2 w(u, v)`` otherwise,
 and is pushed again.  The heap pops in the order of the fresh-sum
 implementation's ``(-gain, v)`` tuples, so moves, tie-breaks and results
 are the same -- provided every partial sum is an exact float.
-:func:`exact_gain_weights` is that predicate (integral edge weights,
-total below ``2**53``); a graph that fails it runs
-:func:`fm_refine_reference`, the fresh-sum implementation kept as the
-oracle the fast path is tested against.  On such a graph every gain is
+:func:`~repro.graphs.graph.exact_weights` of the CSR weights is that
+predicate (integral edge weights, total below ``2**53``); a graph that
+fails it runs :func:`fm_refine_reference`, the fresh-sum implementation
+kept as the oracle the fast path is tested against.  On such a graph every gain is
 an integer, so the fast path keeps gains as Python ints and pushes the
 single int ``-gain * n + v``: with ``0 <= v < n`` it orders exactly as
 ``(-gain, v)`` does, and ``divmod(key, n)`` gives back ``(-gain, v)``
@@ -34,23 +34,7 @@ import heapq
 
 import numpy as np
 
-from repro.graphs.graph import Graph
-
-#: above this total edge weight a float sum of integers may round
-_EXACT_LIMIT = 2.0**53
-
-
-def exact_gain_weights(g: Graph) -> bool:
-    """Whether incremental gain sums on ``g`` equal fresh ones exactly.
-
-    True when every edge weight is an integer and the weights sum below
-    ``2**53``: every gain, partial sum and update is then an exactly
-    representable integer, so the order of additions cannot matter.
-    FM and greedy growing take their incremental paths only then.
-    """
-    w = g.weights
-    return bool(np.all(w == np.floor(w))) and float(np.abs(w).sum()) < _EXACT_LIMIT
-
+from repro.graphs.graph import Graph, exact_weights
 
 def fm_refine(
     g: Graph,
@@ -72,7 +56,7 @@ def fm_refine(
     max_passes:
         upper bound on full FM passes.
     """
-    if not exact_gain_weights(g):
+    if not exact_weights(g.weights):
         return fm_refine_reference(g, assignment, max_weight, max_passes)
     assign = np.asarray(assignment, dtype=np.int64).copy()
     if g.n == 0:
@@ -188,7 +172,8 @@ def fm_refine_reference(
     """:func:`fm_refine` recomputing every pushed gain from numpy slices.
 
     Exact for any weights; :func:`fm_refine` runs it on graphs that fail
-    :func:`exact_gain_weights` and is tested against it on all others.
+    :func:`~repro.graphs.graph.exact_weights` and is tested against it on all
+    others.
     """
     assign = np.asarray(assignment, dtype=np.int64).copy()
     if g.n == 0:

@@ -10,7 +10,7 @@ Attachments are kept incrementally: each starts at minus the vertex's
 incident weight and rises by ``2 w(u, v)`` when a neighbour ``v`` is
 absorbed, so every push carries the value a fresh sum would.  As in
 :mod:`~repro.partitioning.fm` that holds only under
-:func:`~repro.partitioning.fm.exact_gain_weights`; other graphs grow
+:func:`~repro.graphs.graph.exact_weights`; other graphs grow
 with :func:`grow_bisection_reference`, which recomputes each attachment
 from numpy slices.  Both draw the same random numbers.
 """
@@ -22,8 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.graphs.graph import Graph
-from repro.partitioning.fm import exact_gain_weights
+from repro.graphs.graph import Graph, exact_weights
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -38,7 +37,7 @@ def grow_bisection(
     Returns a 0/1 assignment array.  Side 0 is grown; everything else is
     side 1.  The best of ``attempts`` runs (by cut weight) wins.
     """
-    if not exact_gain_weights(g):
+    if not exact_weights(g.weights):
         return grow_bisection_reference(g, target_weight_0, seed, attempts)
     grow = partial(_grow_once, _grow_lists(g))
     return _best_growth(g, grow, target_weight_0, seed, attempts)
@@ -53,7 +52,7 @@ def grow_bisection_reference(
     """:func:`grow_bisection` growing with :func:`_grow_once_reference`.
 
     Exact for any weights; :func:`grow_bisection` runs it on graphs that
-    fail :func:`~repro.partitioning.fm.exact_gain_weights` and is tested
+    fail :func:`~repro.graphs.graph.exact_weights` and is tested
     against it on all others.
     """
     grow = partial(_grow_once_reference, g)

@@ -128,7 +128,7 @@ def wire_int(value, field: str) -> int:
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+    raise ConfigurationError(f"{field} must be an integer, got {reprlib.repr(value)}")
 
 
 def wire_float(value, field: str, *, positive: bool = False) -> float:
@@ -177,11 +177,12 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("generate", "edges"):
             raise ConfigurationError(
-                f"graph spec kind must be 'generate' or 'edges', got {self.kind!r}"
+                "graph spec kind must be 'generate' or 'edges', "
+                f"got {reprlib.repr(self.kind)}"
             )
         if self.kind == "generate" and self.instance not in instance_names():
             raise ConfigurationError(
-                f"unknown instance {self.instance!r}; known: "
+                f"unknown instance {reprlib.repr(self.instance)}; known: "
                 f"{', '.join(instance_names())}"
             )
         # The sizing fields reach scaled_n, which divides by the divisor
@@ -205,7 +206,8 @@ class GraphSpec:
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
                 raise ConfigurationError(
-                    f"graph edge {i} must be [u, v] or [u, v, weight], got {edge!r}"
+                    f"graph edge {i} must be [u, v] or [u, v, weight], "
+                    f"got {reprlib.repr(edge)}"
                 )
             for endpoint in edge[:2]:
                 wire_int(endpoint, f"graph edge {i} endpoint")
@@ -252,14 +254,16 @@ class GraphSpec:
     @classmethod
     def from_wire(cls, payload: dict) -> "GraphSpec":
         if not isinstance(payload, dict):
-            raise ConfigurationError(f"graph spec must be an object, got {payload!r}")
+            raise ConfigurationError(
+                f"graph spec must be an object, got {reprlib.repr(payload)}"
+            )
         known = {
             "kind", "instance", "seed", "divisor", "n_min", "n_max", "n", "edges",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(
-                f"unknown graph spec keys {unknown}; known: {sorted(known)}"
+                f"unknown graph spec keys {reprlib.repr(unknown)}; known: {sorted(known)}"
             )
         body = dict(payload)
         if "edges" in body:

@@ -159,7 +159,7 @@ def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> Pipelin
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise ReproError(
-            f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}"
+            f"unknown config keys {reprlib.repr(unknown)}; known: {sorted(_CONFIG_KEYS)}"
         )
     nh_key = "nh" if "nh" in payload else "n_hierarchies"
     nh = wire_int(payload.get(nh_key, 8), f"config.{nh_key}")
@@ -190,14 +190,18 @@ def parse_request(
 ) -> MapRequest:
     """One wire body -> a validated :class:`MapRequest` (raises ReproError)."""
     if not isinstance(payload, dict):
-        raise ReproError(f"request body must be a JSON object, got {payload!r}")
+        raise ReproError(
+            f"request body must be a JSON object, got {reprlib.repr(payload)}"
+        )
     known = {
         "topology", "graph", "config", "seed", "mu", "deadline_s",
         "allow_degraded", "op", "id", "trace",
     }
     unknown = sorted(set(payload) - known)
     if unknown:
-        raise ReproError(f"unknown request keys {unknown}; known: {sorted(known)}")
+        raise ReproError(
+            f"unknown request keys {reprlib.repr(unknown)}; known: {sorted(known)}"
+        )
     if "topology" not in payload:
         raise ReproError("request needs a 'topology'")
     spec = GraphSpec.from_wire(payload.get("graph", {}))
@@ -290,7 +294,7 @@ class MappingService:
                 )
                 return 200, snapshot, {}
             return 404, {"ok": False, "error": "not_found",
-                         "message": f"unknown operation {op!r}"}, {}
+                         "message": f"unknown operation {reprlib.repr(op)}"}, {}
         except QueueFullError as exc:
             body = {"ok": False, "error": "queue_full", "message": str(exc),
                     "retry_after_s": exc.retry_after}

@@ -1,21 +1,20 @@
-"""Differential tests: the patched contraction and the pair-row swap pass.
+"""Differential tests: the level walk's contraction and pair-row swap pass.
 
-A contracted level's coarse CSR is patched from its own when the path
-rule allows (``contract_level``), and a swap pass reads only the CSR
-rows of its sibling-pair vertices (``pair_rows``).  Each new path is
-checked against the code it replaced, kept in-tree as an oracle:
+A swap pass reads only the CSR rows of its sibling-pair vertices
+(``pair_rows``), and a contraction merges the level's edges into the
+coarse CSR.  Each is checked against the code it replaced, kept in-tree
+as an oracle:
 
-- ``contract_level`` against ``contract_level_reference`` with the patch
-  forced, with it forbidden and under the share rule alone, on
-  label-ordered levels after random swaps, plus hand-made levels: a
-  merge at vertex 0 and at ``n - 2``, no edges, and two adjacent rows
-  whose boundary entries map to one coarse vertex;
+- ``contract_level`` against ``contract_level_reference`` on hand-made
+  levels: a merge at vertex 0 and at ``n - 2``, no edges, two adjacent
+  rows whose boundary entries map to one coarse vertex, and three and
+  four fine edges in one coarse edge;
 - ``pair_rows`` / ``pair_row_gains`` against ``sibling_pair_weights`` /
   ``batch_pair_deltas`` over the whole CSR, bit for bit, and the greedy
   and KL passes run on either;
 - the backend's row-subset ``vertex_lsb_sums`` against the numpy one;
-- one ``adjacent_siblings`` call per hierarchy level, and a walk that
-  releases each level's adjacency gives the same labels.
+- on the walk, one ``adjacent_siblings`` call per hierarchy level, and a
+  walk that releases each level's adjacency gives the same labels.
 
 Weights are one-decimal floats, so any change of summation order shows.
 """
@@ -24,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import contraction, enhancer, kernels, swaps
+from repro.core import enhancer, kernels, swaps
 from repro.core.assemble import assemble
 from repro.core.backend import available_backends, current_backend, use_backend
 from repro.core.config import TimerConfig
@@ -59,25 +58,16 @@ from tests.core.test_hierarchy_order import (
     levels,
 )
 
-#: (PATCH_MIN_ENTRIES, PATCH_MAX_MERGED_SHARE) per path setting.
-PATHS = {"patch": (0, 1.0), "share": (0, contraction.PATCH_MAX_MERGED_SHARE),
-         "rebuild": (0, -1.0)}
-
 
 def _bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _contract_both(level, path):
-    """``contract_level`` under ``path`` and the reference on a copy."""
-    ref = Level(
-        labels=level.labels.copy(), order=level.order, edges=level.edges,
-        csr=level.csr, contracted=level.contracted,
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contraction, "PATCH_MIN_ENTRIES", PATHS[path][0])
-        mp.setattr(contraction, "PATCH_MAX_MERGED_SHARE", PATHS[path][1])
-        coarse = contract_level(level)
+def _contract_both(level):
+    """``contract_level`` and the reference on a copy."""
+    ref = Level(labels=level.labels.copy(), order=level.order, edges=level.edges,
+                csr=level.csr)
+    coarse = contract_level(level)
     coarse_ref = contract_level_reference(ref)
     assert level.parent.dtype == np.int64 and np.array_equal(level.parent, ref.parent)
     _assert_levels_equal(coarse, coarse_ref)
@@ -85,45 +75,18 @@ def _contract_both(level, path):
 
 
 def _contracted(n, edges, labels):
-    """A contracted level: ``labels`` ascend, canonical CSR of ``edges``."""
+    """A contracted level: ``labels`` ascend, sorted merged edges, their CSR."""
     edges = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
     us = np.array([e[0] for e in edges], dtype=np.int64)
     vs = np.array([e[1] for e in edges], dtype=np.int64)
     ws = np.array([e[2] for e in edges], dtype=np.float64)
     rows = bitops.as_label_array(np.asarray(labels, dtype=np.int64))
     assert np.array_equal(bitops.argsort_labels(rows), np.arange(n))
-    return Level(labels=rows, order=np.arange(n, dtype=np.int64),
-                 csr=build_csr(n, us, vs, ws), contracted=True)
+    return Level(labels=rows, order=np.arange(n, dtype=np.int64), edges=(us, vs, ws),
+                 csr=build_csr(n, us, vs, ws))
 
 
-class TestPatchedContraction:
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    @SETTINGS
-    @given(levels())
-    def test_matches_reference_level_after_level(self, path, case):
-        edges, labels, dim, rng = case
-        level = make_finest_level(edges, labels)
-        for _ in range(min(dim - 1, 8)):
-            _random_swaps(level, rng)
-            level = _contract_both(level, path)
-            assert level.contracted
-
-    def test_the_share_rule_takes_both_paths(self, ba_graph):
-        # Sparse 16-bit labels: the first levels merge few vertices, the
-        # last ones most of them.
-        rng = np.random.default_rng(5)
-        labels = rng.choice(1 << 16, ba_graph.n, replace=False).astype(np.int64)
-        level = make_finest_level(ba_graph.edge_arrays(), labels)
-        patched = contraction._patched_csr
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contraction, "_patched_csr",
-                       lambda *a: calls.append(1) or patched(*a))
-            for _ in range(15):
-                level = _contract_both(level, "share")
-        assert 0 < len(calls) < 14
-
-    @pytest.mark.parametrize("path", ["patch", "rebuild"])
+class TestContractionOnHandMadeLevels:
     @pytest.mark.parametrize(
         "labels",
         [
@@ -133,7 +96,7 @@ class TestPatchedContraction:
             [1, 2, 4, 6, 8, 10],  # no merge
         ],
     )
-    def test_hand_made_levels(self, path, labels):
+    def test_hand_made_levels(self, labels):
         # Rows 2 and 3 reach the merged pair (0, 1) from either side: row
         # 2 ends with its smaller neighbour 1, row 3 has no larger
         # neighbour and starts with 0, so their boundary entries map to
@@ -141,21 +104,19 @@ class TestPatchedContraction:
         # row 5 meets the pair (4, 5) inside it.
         edges = [(1, 2, 0.3), (0, 3, 1.4), (0, 4, 3.2), (1, 4, 0.2),
                  (4, 5, 2.5), (2, 5, 0.7), (0, 1, 4.4)]
-        _contract_both(_contracted(6, edges, labels), path)
+        _contract_both(_contracted(6, edges, labels))
 
-    @pytest.mark.parametrize("path", ["patch", "rebuild"])
-    def test_cross_row_boundary_is_not_collapsed(self, path):
+    def test_cross_row_boundary_is_not_collapsed(self):
         level = _contracted(4, [(1, 2, 1.5), (0, 3, 2.5)], [0, 1, 2, 4])
-        coarse = _contract_both(level, path)
+        coarse = _contract_both(level)
         indptr, indices, weights = coarse.csr
         assert indptr.tolist() == [0, 2, 3, 4]
         assert indices.tolist() == [1, 2, 0, 0]
         assert weights.tolist() == [1.5, 2.5, 1.5, 2.5]
 
-    @pytest.mark.parametrize("path", ["patch", "rebuild"])
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
-    def test_level_without_edges(self, path, n):
-        coarse = _contract_both(_contracted(n, [], list(range(n))), path)
+    def test_level_without_edges(self, n):
+        coarse = _contract_both(_contracted(n, [], list(range(n))))
         assert coarse.csr[1].size == 0
 
     def test_four_fine_edges_in_one_coarse_edge(self):
@@ -164,17 +125,16 @@ class TestPatchedContraction:
         level = _contracted(
             4, [(0, 2, 0.1), (0, 3, 0.2), (1, 2, 0.3), (1, 3, 0.4)], [0, 1, 2, 3]
         )
-        coarse = _contract_both(level, "patch")
+        coarse = _contract_both(level)
         assert coarse.csr[2].tolist() == [0.1 + (0.2 + 0.3 + 0.4)] * 2
 
-    @pytest.mark.parametrize("path", ["patch", "rebuild"])
-    def test_three_fine_edges_sum_in_min_max_order(self, path):
+    def test_three_fine_edges_sum_in_min_max_order(self):
         # Seen from row 2 or 3, the fine edges of the coarse edge come in
         # the order (2, 1), (3, 0), (3, 1), which would give
         # 0.2 + (0.1 + 0.3) = 0.6000000000000001; (min, max) order gives
         # (0, 3), (1, 2), (1, 3) and 0.1 + (0.2 + 0.3) = 0.6.
         level = _contracted(4, [(0, 3, 0.1), (1, 2, 0.2), (1, 3, 0.3)], [0, 1, 2, 3])
-        coarse = _contract_both(level, path)
+        coarse = _contract_both(level)
         assert coarse.csr[2].tolist() == [0.6, 0.6]
 
 
@@ -191,12 +151,10 @@ def _walk_levels(edges, labels, dim, rng):
     """The finest level, then contracted levels after random swaps."""
     level = make_finest_level(edges, labels)
     out = [level]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contraction, "PATCH_MIN_ENTRIES", 0)
-        for _ in range(min(dim - 1, 6)):
-            _random_swaps(level, rng)
-            level = contract_level(level)
-            out.append(level)
+    for _ in range(min(dim - 1, 6)):
+        _random_swaps(level, rng)
+        level = contract_level(level)
+        out.append(level)
     return out
 
 
@@ -295,18 +253,10 @@ CONFIGS = [
 
 
 class TestHierarchyWalk:
-    """Walks under the module's rule (small levels rebuild) and patching
-    every contracted level."""
-
-    @pytest.fixture(params=["rule", "patch"])
-    def path(self, request, monkeypatch):
-        if request.param == "patch":
-            monkeypatch.setattr(contraction, "PATCH_MIN_ENTRIES", 0)
-            monkeypatch.setattr(contraction, "PATCH_MAX_MERGED_SHARE", 1.0)
-        return request.param
+    """The level walk (``blocks=False``), which float weights and KL take."""
 
     @pytest.mark.parametrize("topology,cfg", CONFIGS)
-    def test_one_adjacent_siblings_call_per_level(self, monkeypatch, path, topology, cfg):
+    def test_one_adjacent_siblings_call_per_level(self, monkeypatch, topology, cfg):
         ga, app, perm = _app(topology)
         contracted = []
         monkeypatch.setattr(
@@ -314,16 +264,16 @@ class TestHierarchyWalk:
             lambda lev: contracted.append(contract_level(lev)) or contracted[-1],
         )
         calls = _count_calls(monkeypatch, bitops.adjacent_siblings)
-        enhancer._one_hierarchy(ga.edge_arrays(), app.labels, app.dim, app.dim_e, perm, cfg)
+        enhancer._one_hierarchy(
+            ga.edge_arrays(), app.labels, app.dim, app.dim_e, perm, cfg, blocks=False
+        )
         coarsest = contracted[-1]
         swapped = cfg.swap_coarsest and coarsest.n >= 2 and coarsest.csr[1].size > 0
         assert len(contracted) == app.dim - 2
         assert len(calls) == len(contracted) + int(swapped)
 
     @pytest.mark.parametrize("topology,cfg", CONFIGS)
-    def test_released_adjacency_leaves_the_walk_unchanged(
-        self, monkeypatch, path, topology, cfg
-    ):
+    def test_released_adjacency_leaves_the_walk_unchanged(self, monkeypatch, topology, cfg):
         ga, app, perm = _app(topology)
         edges = ga.edge_arrays()
         seen = []
@@ -331,11 +281,12 @@ class TestHierarchyWalk:
             enhancer, "contract_level",
             lambda lev: seen.append((lev, contract_level(lev))) or seen[-1][1],
         )
-        got = enhancer._one_hierarchy(edges, app.labels, app.dim, app.dim_e, perm, cfg)
+        got = enhancer._one_hierarchy(
+            edges, app.labels, app.dim, app.dim_e, perm, cfg, blocks=False
+        )
         assert all(lev.csr is None and lev.edges is None for lev, _ in seen)
         assert seen[-1][1].csr is not None  # the coarsest keeps its adjacency
-        # The same walk by hand under the module's rule, every level's
-        # adjacency kept.
+        # The same walk by hand, every level's adjacency kept.
         monkeypatch.undo()
         run = kl_swap_pass if cfg.swap_strategy == "kl" else swap_pass
         signs = np.where(perm >= app.dim_e, 1, -1)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.builder import from_arrays, from_edges
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, exact_weights
 from repro.partitioning import fm, initial
 from repro.partitioning.coarsen import contract_graph
-from repro.partitioning.fm import exact_gain_weights, fm_refine, fm_refine_reference
+from repro.partitioning.fm import fm_refine, fm_refine_reference
 from repro.partitioning.initial import grow_bisection, grow_bisection_reference
 from repro.partitioning.kway_refine import kway_refine, kway_refine_reference
 from repro.partitioning.partition import Partition
@@ -67,7 +67,7 @@ def _float_graph() -> Graph:
 
 
 def _assert_fm_matches(g: Graph, data) -> None:
-    assert exact_gain_weights(g)
+    assert exact_weights(g.weights)
     assign = np.asarray(
         data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)),
         dtype=np.int64,
@@ -102,7 +102,7 @@ class TestFmDifferential:
         path = np.arange(12, dtype=np.int64)
         ws = np.asarray([2**48 + 7 * i for i in range(11)], dtype=np.float64)
         g = from_arrays(n, path[:-1], path[1:], ws)
-        assert exact_gain_weights(g)
+        assert exact_weights(g.weights)
         assign = np.zeros(n, dtype=np.int64)
         assign[path[::2]] = 1
         caps = (0.6 * n, 0.6 * n)
@@ -168,12 +168,12 @@ class TestGrowDifferential:
 
 class TestExactnessGuard:
     def test_predicate(self):
-        assert exact_gain_weights(from_edges(3, [(0, 1, 3.0), (1, 2, 0.0)]))
-        assert exact_gain_weights(from_edges(0, []))
-        assert not exact_gain_weights(_float_graph())
+        assert exact_weights(from_edges(3, [(0, 1, 3.0), (1, 2, 0.0)]).weights)
+        assert exact_weights(from_edges(0, []).weights)
+        assert not exact_weights(_float_graph().weights)
         # Each edge is stored twice: 2 * 2**51 < 2**53 <= 2 * 2**52.
-        assert exact_gain_weights(from_edges(2, [(0, 1, 2.0**51)]))
-        assert not exact_gain_weights(from_edges(2, [(0, 1, 2.0**52)]))
+        assert exact_weights(from_edges(2, [(0, 1, 2.0**51)]).weights)
+        assert not exact_weights(from_edges(2, [(0, 1, 2.0**52)]).weights)
 
     @pytest.fixture
     def no_fast_paths(self, monkeypatch):

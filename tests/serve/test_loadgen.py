@@ -107,10 +107,13 @@ class TestEndToEnd:
         assert overall["p50"] <= overall["p95"] <= overall["p99"]
         assert set(first.latency_summary["by_endpoint"]) == {"map"}
         assert first.latency_summary["by_endpoint"]["map"]["count"] == 12
-        # the split populations partition each run: the first pass
-        # computed everything, the replay served everything from cache
-        assert first.latency_summary["uncached"]["count"] == 12
-        assert first.latency_summary["cached"] == {"count": 0}
+        # the split populations partition each run by the replies' own
+        # flags: a repeat in the first pass (60% of requests go to hot
+        # keys, 12 arrive within ~40 ms) is a cache hit whenever its
+        # first copy finished first; the replay served everything from
+        # cache
+        assert first.latency_summary["uncached"]["count"] == 12 - first.cached
+        assert first.latency_summary["cached"]["count"] == first.cached
         summary = replay.latency_summary
         assert summary["cached"]["count"] == replay.cached == 12
         assert summary["uncached"] == {"count": 0}

@@ -249,6 +249,26 @@ class TestWireFieldValidation:
         status, reply, _ = self._map(service, config=value)
         self._assert_rejected(reply, status, "config must be an object")
 
+    # A 400 names the field but echoes only a bounded piece of the input.
+
+    def _assert_short(self, status, reply, field):
+        self._assert_rejected(reply, status, field)
+        assert len(reply["message"]) < 1024
+
+    def test_huge_graph_list_is_not_echoed(self, service):
+        status, reply, _ = self._map(service, graph=list(range(200_000)))
+        self._assert_short(status, reply, "graph spec must be an object")
+
+    def test_huge_unknown_key_set_is_not_echoed(self, service):
+        extra = {f"unknown_key_{i}": i for i in range(100_000)}
+        status, reply, _ = self._map(service, **extra)
+        self._assert_short(status, reply, "unknown request keys")
+
+    def test_huge_kind_string_is_not_echoed(self, service):
+        graph = {"kind": "x" * 1_000_000, "n": 4, "edges": []}
+        status, reply, _ = self._map(service, graph=graph)
+        self._assert_short(status, reply, "graph spec kind")
+
     def test_valid_values_keep_their_keys(self):
         base = parse_request(_map_body() | {"config": {"nh": 2}})
         for config in ({"nh": 2.0}, {"nh": 2, "epsilon": 0.03}):
