@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.assemble import assemble
+from repro.core.assemble import assemble, assemble_reference
 from repro.core.contraction import contract_level, make_finest_level
 from repro.core.kernels import (
     batch_pair_deltas,
@@ -34,7 +34,7 @@ from repro.partialcube.djokovic import (
 from repro.partitioning.kway_refine import kway_refine, kway_refine_reference
 from repro.utils.bitops import label_sort_keys, permute_bits
 
-from bench_regress import perturbed_partition
+from bench_regress import assembled_levels, perturbed_partition
 
 
 @pytest.fixture(scope="module")
@@ -171,15 +171,13 @@ def test_bench_contraction(benchmark, workload):
 
 
 def test_bench_assemble(benchmark, workload):
+    """The production path: a block hierarchy after its swap passes."""
     ga, _, _, app = workload
-    levels = [make_finest_level(ga.edge_arrays(), app.labels.copy())]
-    for _ in range(2, app.dim):
-        levels.append(contract_level(levels[-1]))
-
-    out = benchmark(assemble, levels, app.dim)
-    assert np.array_equal(
-        np.sort(label_sort_keys(out)), np.sort(label_sort_keys(app.labels))
-    )
+    perm = np.random.default_rng(6).permutation(app.dim).astype(np.int64)
+    views = assembled_levels(ga.edge_arrays(), app, perm, blocks=True)
+    out = benchmark(assemble, views, app.dim)
+    walk = assembled_levels(ga.edge_arrays(), app, perm, blocks=False)
+    assert np.array_equal(out, assemble_reference(walk, app.dim))
 
 
 def test_bench_permute_labels(benchmark, workload):

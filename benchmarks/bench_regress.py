@@ -26,7 +26,11 @@ sum every CSR row and scan every edge for the pair weights); its floor
 entry times the same hierarchy on the production level walk
 (``blocks=False``) against its greedy passes solved a block of levels
 at a time (``blocks=True``), outputs checked identical first; its floor
-(>= 2x) keeps the blocks worth their code.
+(>= 2x) keeps the blocks worth their code.  The ``wide_assemble`` entry
+times assembly alone on that hierarchy after its swap passes: the
+production grant fed from the block hierarchy's flips against
+``assemble_reference`` on the walk's levels, outputs checked identical
+first; its floor (>= 5x) keeps the grant on bit planes.
 
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
@@ -65,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import enhancer, kernels
-from repro.core.assemble import assemble_reference
+from repro.core.assemble import assemble, assemble_reference
 from repro.core.backend import available_backends, current_backend, get_backend, use_backend
 from repro.core.config import TimerConfig
 from repro.core.contraction import contract_level_reference, make_finest_level
@@ -94,6 +98,7 @@ FLOORS = {
     "wide_partial_cube_labeling": 3.0,
     "wide_hierarchy": 1.5,
     "hierarchy_blocks": 2.0,
+    "wide_assemble": 5.0,
     "fm_refine": 3.0,
     "grow_bisection": 2.0,
     "kway_refine": 3.0,
@@ -133,6 +138,24 @@ def perturbed_partition(ga, k: int):
     moved = rng.random(ga.n) < 0.1
     assign[moved] = rng.integers(0, k, int(moved.sum()))
     return part.with_assignment(assign)
+
+
+def assembled_levels(edges, app, perm, blocks: bool) -> list:
+    """The levels ``_one_hierarchy`` hands to ``assemble`` for ``perm``.
+
+    Block views after their block solves (``blocks=True``) or walk
+    levels after their swap passes (``blocks=False``), greedy swaps.
+    """
+    seen = []
+    real = enhancer.assemble
+    enhancer.assemble = lambda levels, dim: seen.append(levels) or real(levels, dim)
+    try:
+        enhancer._one_hierarchy(
+            edges, app.labels, app.dim, app.dim_e, perm, TimerConfig(), blocks=blocks
+        )
+    finally:
+        enhancer.assemble = real
+    return seen[0]
 
 
 def _seed_partial_cube_labeling(gp):
@@ -365,6 +388,19 @@ def run(repeats: int = 5) -> dict:
         "workload": hierarchy + "the level walk vs swap passes solved in blocks",
         "before_s": _best_of(lambda: walk(blocks=False), repeats),
         "after_s": _best_of(lambda: walk(blocks=True), repeats),
+    }
+
+    # --- assembly: the grant fed from the flips vs the sort-based oracle --
+    views = assembled_levels(edges, wide_app, perm, blocks=True)
+    walk_levels = assembled_levels(edges, wide_app, perm, blocks=False)
+    dim = wide_app.dim
+    if not np.array_equal(assemble(views, dim), assemble_reference(walk_levels, dim)):
+        raise AssertionError("assembly from the flips diverged from the reference")
+    results["wide_assemble"] = {
+        "workload": hierarchy + "assembly alone (assemble_reference on the "
+        "walk's levels vs assemble on the block hierarchy)",
+        "before_s": _best_of(lambda: assemble_reference(walk_levels, dim), repeats),
+        "after_s": _best_of(lambda: assemble(views, dim), repeats),
     }
 
     def before_wide_pc():

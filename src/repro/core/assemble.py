@@ -28,99 +28,145 @@ The paper inherits the most significant digit from the input labeling
 (Algorithm 2, lines 17-18); we use it as the *preference* for the final
 digit, forced only by the bijectivity constraint.
 
+**Where the preferences come from.**  A vertex's preferred digits form
+one preferred label ``P``, built before the grant starts.  A block
+hierarchy (:mod:`repro.core.blocks`) holds ``P`` in its flips: ``P`` is
+its sorted labels ``X`` with bit ``l - 1`` flipped across the region of
+every level-``l`` pair that swapped an odd number of times, one XOR
+difference per region end and one prefix XOR along ``X``
+(:meth:`~repro.core.blocks.BlockHierarchy.preferences`).  Walk levels
+(float weights, KL swaps) give ``P`` through their parents and LSBs, one
+level at a time (:func:`walk_preferences`).  Either way the grant needs
+``L`` only as a multiset.
+
 The suffix groups need no sort: going from ``j`` to ``j + 1`` digits
 splits every group by bit ``j``, so a group id refines to ``2 * gid +
-bit``, made dense again through a presence table.  The labels of ``L``
-and the vertices share one numbering, and per-group capacities are a
-``bincount``.  :func:`assemble_reference` keeps the sort-based version
-(``np.unique`` and ``searchsorted`` over the ``j``-bit suffixes at
-every digit) as the oracle.
+bit``, made dense again through a presence table: the previous digit's
+capacities, a ``bincount`` of the label keys.  The labels of ``L`` and
+the vertices share one numbering.  Their digits are read from bit planes
+unpacked once (:func:`~repro.utils.bitops.label_planes`); only keys
+wanted beyond their capacity are ranked, and the granted digits
+overwrite the preferred ones in the planes, packed once at the end.
+:func:`assemble_reference` keeps the sort-based version (``np.unique``
+and ``searchsorted`` over the ``j``-bit suffixes at every digit, fed
+from the walk's levels) as the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.blocks import LevelView
 from repro.core.contraction import Level
 from repro.utils.bitops import (
     get_label_bit,
     label_lsb,
+    label_planes,
     label_sort_keys,
     low_bits,
+    planes_to_labels,
     set_label_bit,
+    wide_mask,
 )
 from repro.utils.segments import group_ranks
 
 
-def assemble(levels: list[Level], dim: int) -> np.ndarray:
+def assemble(levels: list[Level | LevelView], dim: int) -> np.ndarray:
     """New level-1 labels from a (post-swap) hierarchy.
 
     ``levels[0]`` is the finest level (its labels are the multiset ``L``
     the result must be a bijection onto); ``levels[j]`` is level ``j+1``
-    whose labels' LSBs provide the preferred digit ``j``.  The output has
-    the input's word count.
+    whose labels' LSBs provide the preferred digit ``j``.  A block
+    hierarchy's views hand over the preferred labels at once
+    (:meth:`~repro.core.blocks.BlockHierarchy.preferences`); walk levels
+    give them through :func:`walk_preferences`.  The output has the
+    input's word count.
+    """
+    first = levels[0]
+    if isinstance(first, LevelView):
+        hierarchy = first.hierarchy
+        return grant_preferences(hierarchy.labels, hierarchy.preferences(), dim)
+    return grant_preferences(first.labels, walk_preferences(levels, dim), dim)
+
+
+def walk_preferences(levels: list[Level], dim: int) -> np.ndarray:
+    """Every vertex's preferred label from walk levels' parents and labels.
+
+    Digit ``j`` is the LSB of the level-``j+1`` ancestor for every level
+    the walk built, and the vertex's own digit above them (the MSB and
+    any digit beyond the built hierarchy, as in Algorithm 2 lines 17-18).
     """
     L = levels[0].labels
-    n = L.shape[0]
-    new = np.zeros_like(L)
-    if n == 0:
-        return new
-    digit = label_lsb(L)  # digit 0: own post-swap LSB
-    set_label_bit(new, 0, digit)
-    # Suffix groups over digits 0 .. j-1 share one numbering between the
-    # labels of L and the vertices' new labels; key = 2 * group + digit.
-    key_L = digit
-    key_new = digit
-    n_groups = 1
-    anc = np.arange(n, dtype=np.int64)
-    for j in range(1, dim):
-        # Refine by digit j - 1.  _grant_digit's invariant guarantees
-        # every vertex key also occurs among the label keys.
-        present = np.zeros(2 * n_groups, dtype=np.int64)
-        present[key_L] = 1
-        dense = np.cumsum(present) - 1
-        gid_L = dense[key_L]
-        gid_new = dense[key_new]
-        n_groups = int(dense[-1]) + 1
-        bit_L = get_label_bit(L, j)
-        if j < len(levels):
-            parent = levels[j - 1].parent
+    chain = levels[: max(min(len(levels), dim), 1)]
+    prefs = L & ~wide_mask(len(chain), L.shape[1])
+    anc = np.arange(L.shape[0], dtype=np.int64)
+    for j, level in enumerate(chain):
+        if j:
+            parent = chain[j - 1].parent
             if parent is None:
                 raise RuntimeError(f"level {j} has no parent pointers")
             anc = parent[anc]
-            pref = levels[j].lsb()[anc]
-        else:
-            # No coarser level prescribes this digit (the MSB, and any
-            # digit beyond the built hierarchy): prefer the vertex's own
-            # original digit, as in Algorithm 2 lines 17-18.
-            pref = bit_L
-        key_L = 2 * gid_L + bit_L
-        key_new = _grant_digit(2 * gid_new + pref, key_L, 2 * n_groups)
-        set_label_bit(new, j, key_new & 1)
-    return new
+        set_label_bit(prefs, j, label_lsb(level.labels)[anc])
+    return prefs
 
 
-def _grant_digit(want: np.ndarray, key_L: np.ndarray, n_keys: int) -> np.ndarray:
-    """Vertex keys ``2 * group + digit`` after granting digit ``j``.
+def grant_preferences(labels: np.ndarray, prefs: np.ndarray, dim: int) -> np.ndarray:
+    """The counting grant: ``prefs`` made a bijection onto the multiset ``labels``.
 
-    ``want`` holds each vertex's group and preferred digit, ``key_L``
-    each label's group and actual digit.  The number of labels with key
-    ``2 * g + b`` is group ``g``'s capacity for digit ``b``: the first
-    that many vertices of the group preferring ``b``, in vertex order,
-    get it, and the rest get the other digit.  Afterwards the vertex keys
-    must count exactly like the label keys -- the invariant that keeps
-    the result a permutation of ``L``.
+    Digit 0 is each vertex's own preference (the post-swap LSB).  Digit
+    ``j`` refines the suffix groups by digit ``j - 1`` and grants it
+    (:func:`_grant_digit`).  The labels and the preferences are unpacked
+    once into one set of bit planes, labels first; a granted digit
+    overwrites the vertex's preferred one, and the vertices' planes are
+    packed once at the end.
     """
-    capacity = np.bincount(key_L, minlength=n_keys)
-    if np.array_equal(np.bincount(want, minlength=n_keys), capacity):
-        return want
-    granted = want ^ (group_ranks(want) >= capacity[want])
-    if not np.array_equal(np.bincount(granted, minlength=n_keys), capacity):
+    n, words = labels.shape
+    if n == 0:
+        return np.zeros_like(labels)
+    planes = label_planes(np.concatenate([labels, prefs]), max(dim, 1))
+    # Labels and vertices share one numbering of the suffix groups over
+    # digits 0 .. j-1, key = 2 * group + digit: keys[:n] are the labels',
+    # keys[n:] the vertices'.  A digit's capacities count the label
+    # keys, so its nonzero cells are the keys present, which the next
+    # digit numbers densely from group 1.
+    keys = planes[0].astype(np.int64)
+    capacity = np.bincount(keys[:n], minlength=2)
+    for j in range(1, dim):
+        dense = np.cumsum(capacity > 0)
+        dense += dense
+        keys = dense[keys]
+        keys += planes[j]
+        capacity = np.bincount(keys[:n], minlength=int(dense[-1]) + 2)
+        want = keys[n:]
+        if _grant_digit(want, capacity):
+            planes[j, n:] = want & 1
+    return planes_to_labels(planes[:, n:], words)
+
+
+def _grant_digit(want: np.ndarray, capacity: np.ndarray) -> bool:
+    """Grant digit ``j`` in place; whether any preference was refused.
+
+    ``want`` holds each vertex's key ``2 * group + digit`` with its
+    preferred digit; ``capacity[2 * g + b]`` counts the labels of group
+    ``g`` with digit ``b``.  The first that many vertices of the group
+    preferring ``b``, in vertex order, get it, and the rest get the other
+    digit, so only the keys wanted beyond their capacity are ranked.
+    Afterwards the vertex keys must count exactly like the label keys --
+    the invariant that keeps the result a permutation of ``L``.
+    """
+    n_keys = capacity.shape[0]
+    wanted = np.bincount(want, minlength=n_keys)
+    if np.array_equal(wanted, capacity):
+        return False
+    over = np.flatnonzero((wanted > capacity)[want])
+    keys = want[over]
+    want[over[group_ranks(keys) >= capacity[keys]]] ^= 1
+    if not np.array_equal(np.bincount(want, minlength=n_keys), capacity):
         raise RuntimeError(
             "assemble() produced labels that are not a permutation of L; "
             "this is a bug in the counting scheme"
         )
-    return granted
+    return True
 
 
 def assemble_reference(levels: list[Level], dim: int) -> np.ndarray:
@@ -140,7 +186,7 @@ def assemble_reference(levels: list[Level], dim: int) -> np.ndarray:
             if parent is None:
                 raise RuntimeError(f"level {j} has no parent pointers")
             anc = parent[anc]
-            pref = levels[j].lsb()[anc]
+            pref = label_lsb(levels[j].labels)[anc]
         else:
             # No coarser level prescribes this digit (the MSB, and any
             # digit beyond the built hierarchy): prefer the vertex's own

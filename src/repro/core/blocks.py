@@ -41,10 +41,18 @@ edges summed.
 **Levels as views.**  The enhancer still calls ``swap_pass`` and
 ``contract_level`` once per level (:class:`LevelView`): the first
 ``swap_pass`` of a block solves it, and each call returns its own
-level's ``(n_swaps, total_delta)``.  Assembly reads each view's parents
-and post-swap least significant bits: bit ``l - 1`` of ``X`` at the
-level's run heads, flipped for the pairs that swapped an odd number of
-times.
+level's ``(n_swaps, total_delta)``.  A view holds no arrays; its size
+is one more than the boundaries with ``h >= l - 1``.
+
+**Preferences from the flips.**  Assembly wants digit ``l - 1`` of each
+vertex to be the post-swap LSB of its level-``l`` ancestor: bit
+``l - 1`` of ``X`` at the vertex's position, flipped if the ancestor's
+pair swapped an odd number of times.  That pair's region is the
+ancestor's run together with its sibling's, so each flipped pair flips
+bit ``l - 1`` of a contiguous stretch of ``X``, and every vertex's
+preferred label is ``X`` XOR the prefix XOR of one difference per region
+end (:meth:`BlockHierarchy.preferences`) -- no parent or LSB array per
+level.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import current_backend
-from repro.utils.bitops import WORD_BITS, argsort_labels, label_lsb
+from repro.utils.bitops import WORD_BITS, argsort_labels
 from repro.utils.segments import concat_ranges, run_sums, sorted_runs
 
 #: A block takes levels while the CSR rows its pairs gather stay within
@@ -154,7 +162,8 @@ class BlockHierarchy:
         # Every boundary is one sibling pair, on level h + 1; the ones up
         # to ``top`` swap, in (level, position) order.
         by_level = np.argsort(self.h, kind="stable")
-        self.pair_at = by_level[: int(np.searchsorted(self.h[by_level], top))]
+        self.sorted_h = self.h[by_level]
+        self.pair_at = by_level[: int(np.searchsorted(self.sorted_h, top))]
         self.pair_level = self.h[self.pair_at] + 1
         self.level_ptr = np.searchsorted(self.pair_level, np.arange(top + 2))
         left, right = enclosing_boundaries(self.h)
@@ -173,7 +182,7 @@ class BlockHierarchy:
         self.csr = _merged_csr(n, src, rank[indices], weights)
 
     def finest(self) -> LevelView:
-        return LevelView(self, 1, np.arange(max(self.n - 1, 0), dtype=np.int64))
+        return LevelView(self, 1)
 
     def swap_pass(self, level: int, sign: int, sweeps: int) -> tuple[int, float]:
         """Level ``level``'s ``(n_swaps, total_delta)``, solving its block first."""
@@ -274,71 +283,50 @@ class BlockHierarchy:
                 break
         self.flips[p0 : p0 + k] = flips
 
-    def level_flips(self, level: int) -> np.ndarray:
-        """Boundary positions of level ``level``'s pairs that swapped an odd number of times."""
-        if level > self.top:
-            return np.empty(0, dtype=np.int64)
-        p0, p1 = self.level_ptr[level], self.level_ptr[level + 1]
-        return self.pair_at[p0:p1][self.flips[p0:p1]]
+    def preferences(self) -> np.ndarray:
+        """Every vertex's preferred label ``P`` (module docstring), by caller id.
+
+        A pair of level ``l`` that swapped an odd number of times flips
+        bit ``l - 1`` across its region: an XOR difference at the
+        region's two ends, then one prefix XOR along ``X``.
+        """
+        n, words = self.x.shape
+        flipped = np.flatnonzero(self.flips)
+        bit = self.pair_level[flipped] - 1
+        at = bit // WORD_BITS
+        value = np.left_shift(np.uint64(1), (bit % WORD_BITS).astype(np.uint64))
+        diff = np.zeros((n + 1) * words, dtype=np.uint64)
+        np.bitwise_xor.at(diff, self.lo[flipped] * words + at, value)
+        np.bitwise_xor.at(diff, self.hi[flipped] * words + at, value)
+        flip = np.bitwise_xor.accumulate(diff.reshape(n + 1, words)[:n], axis=0)
+        prefs = np.empty_like(self.x)
+        prefs[self.order] = self.x ^ flip
+        return prefs
+
+    def level_size(self, level: int) -> int:
+        """Vertex count of level ``level``: one more than its boundaries."""
+        return self.n - int(np.searchsorted(self.sorted_h, level - 1))
 
 
 class LevelView:
     """Level ``index`` of a :class:`BlockHierarchy`, as the walk sees a level.
 
-    ``bounds`` are the sorted ``X`` positions ``j`` of the boundaries
-    between its vertices (``h[j] >= index - 1``); ``parent`` is filled in
-    by :meth:`contract`, as :func:`~repro.core.contraction.contract_level`
-    fills ``Level.parent``.  The finest view (``index == 1``) numbers its
-    vertices by the caller's ids and carries the post-swap ``labels``.
+    A view holds no arrays: its size comes from the hierarchy's shape,
+    its swap pass from the hierarchy's block solve, and assembly reads
+    the hierarchy's :meth:`~BlockHierarchy.preferences` directly.
     """
 
-    def __init__(self, hierarchy: BlockHierarchy, index: int, bounds: np.ndarray) -> None:
+    def __init__(self, hierarchy: BlockHierarchy, index: int) -> None:
         self.hierarchy = hierarchy
         self.index = index
-        self.bounds = bounds
-        self.parent: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.bounds.shape[0] + 1 if self.hierarchy.n else 0
+        return self.hierarchy.level_size(self.index)
 
     def swap_pass(self, sign: int, sweeps: int) -> tuple[int, float]:
         return self.hierarchy.swap_pass(self.index, sign, sweeps)
 
     def contract(self) -> LevelView:
-        """The next-coarser view; sets ``self.parent``."""
-        hy = self.hierarchy
-        up = hy.h[self.bounds] >= self.index
-        parent = np.zeros(self.n, dtype=np.int64)
-        np.cumsum(up, out=parent[1:])
-        if self.index == 1:
-            self.parent = np.empty_like(parent)
-            self.parent[hy.order] = parent
-        else:
-            self.parent = parent
-        return LevelView(hy, self.index + 1, self.bounds[up])
-
-    @property
-    def labels(self) -> np.ndarray:
-        """The finest level's post-swap labels (the only full labels a view has)."""
-        if self.index != 1:
-            raise AttributeError("only the finest view carries labels")
-        hy = self.hierarchy
-        labels = hy.labels.copy()
-        flipped = hy.level_flips(1)
-        swapped = np.concatenate([hy.order[flipped], hy.order[flipped + 1]])
-        labels[swapped, 0] ^= np.uint64(1)
-        return labels
-
-    def lsb(self) -> np.ndarray:
-        """Post-swap least significant bit of every vertex (int64 0/1)."""
-        if self.index == 1:
-            return label_lsb(self.labels)
-        hy = self.hierarchy
-        heads = np.concatenate([[0], self.bounds + 1]) if hy.n else self.bounds
-        w, s = divmod(self.index - 1, WORD_BITS)
-        lsb = ((hy.x[heads, w] >> np.uint64(s)) & np.uint64(1)).astype(np.int64)
-        left = np.searchsorted(self.bounds, hy.level_flips(self.index))
-        lsb[left] ^= 1
-        lsb[left + 1] ^= 1
-        return lsb
+        """The next-coarser view."""
+        return LevelView(self.hierarchy, self.index + 1)

@@ -28,7 +28,6 @@ from repro.utils.bitops import (
     adjacent_siblings,
     argsort_labels,
     as_label_array,
-    label_lsb,
     shift_right_labels,
     unique_labels,
 )
@@ -80,10 +79,6 @@ class Level:
         """``(us, vs, ws)``: the level's edges."""
         return self.edges
 
-    def lsb(self) -> np.ndarray:
-        """The least significant bit of every label (what assembly reads)."""
-        return label_lsb(self.labels)
-
     @property
     def us(self) -> np.ndarray:
         return self.edge_arrays()[0]
@@ -134,7 +129,7 @@ def contract_level(level: Level | LevelView) -> Level | LevelView:
     equal prefixes along ``level.order`` (:func:`sibling_mask`), so the
     coarse level's own order is the identity.  Labels, parents, edges and
     CSR equal :func:`contract_level_reference`'s array for array.  A
-    block hierarchy's view returns its next view
+    block hierarchy's view returns its next view and sets nothing
     (:meth:`~repro.core.blocks.LevelView.contract`).
     """
     if isinstance(level, LevelView):

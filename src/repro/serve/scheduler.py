@@ -84,7 +84,7 @@ from repro.errors import (
 from repro.experiments.instances import generate_instance, instance_names
 from repro.experiments.store import canonical_json, cell_key
 from repro.graphs.builder import from_edges
-from repro.graphs.graph import Graph
+from repro.graphs.graph import _EXACT_LIMIT, Graph
 from repro.obs import get_tracer, profile_call
 from repro.obs.trace import SpanContext, TraceBuffer, Tracer
 from repro.serve.cache import (
@@ -203,6 +203,7 @@ class GraphSpec:
             object.__setattr__(self, "n", wire_int(self.n, "graph n"))
             if self.n < 0:
                 raise ConfigurationError(f"graph n must be >= 0, got {self.n}")
+        total = 0.0
         for i, edge in enumerate(self.edges):
             if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
                 raise ConfigurationError(
@@ -211,8 +212,15 @@ class GraphSpec:
                 )
             for endpoint in edge[:2]:
                 wire_int(endpoint, f"graph edge {i} endpoint")
-            if len(edge) == 3:
-                wire_float(edge[2], f"graph edge {i} weight")
+            total += wire_float(edge[2], f"graph edge {i} weight") if len(edge) == 3 else 1.0
+        # The CSR holds every edge twice; from 2**53 on its weight sums
+        # are no longer exact (exact_weights) and overflow on the way to
+        # the metrics.
+        if 2 * total >= _EXACT_LIMIT:
+            raise ConfigurationError(
+                "graph edges: the weights, each edge counted twice, must sum "
+                f"below 2**53, got {2 * total!r}"
+            )
 
     def build(self) -> Graph:
         if self.kind == "generate":

@@ -39,6 +39,9 @@ _ONE = np.uint64(1)
 _SHIFTS = tuple(np.uint64(k) for k in range(WORD_BITS + 1))
 _LOW_MASKS = tuple(np.uint64((1 << k) - 1) for k in range(WORD_BITS + 1))
 _INT64 = np.dtype(np.int64)
+# Bit positions within a byte and their place values, for bit planes.
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint8)
+_BYTE_VALUES = np.left_shift(np.uint8(1), _BYTE_SHIFTS)
 
 #: Popcounts of all byte values; powers the byte-LUT reference fallback.
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -365,30 +368,49 @@ def unique_labels(labels: np.ndarray):
 # ----------------------------------------------------------------------
 # Bit-matrix packing and integer round-trips
 # ----------------------------------------------------------------------
-def _bit_planes(labels: np.ndarray) -> np.ndarray:
-    """``(n, 64 W)`` uint8 0/1 matrix of ``labels``; column ``j`` is bit ``j``."""
+def label_planes(labels: np.ndarray, dim: int) -> np.ndarray:
+    """``(dim, n)`` uint8 0/1 bit planes: row ``j`` is bit ``j`` of every label.
+
+    Rows are contiguous, so a loop over the digits reads one plane at a
+    time.  Byte ``k`` of a label holds bits ``8k .. 8k + 7`` (words and
+    their bytes little-endian), so planes ``8k .. 8k + 7`` are the
+    labels' byte ``k`` shifted right by 0 to 7: one broadcast shift over
+    the bytes, which are laid out one row per byte first.
+    """
     octets = np.ascontiguousarray(labels, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little")
+    rows = -(-dim // 8)
+    by_byte = np.ascontiguousarray(octets[:, :rows].T)
+    planes = (by_byte[:, None, :] >> _BYTE_SHIFTS[:, None]) & np.uint8(1)
+    return planes.reshape(8 * rows, labels.shape[0])[:dim]
 
 
-def _from_bit_planes(planes: np.ndarray) -> np.ndarray:
-    """Labels from a 0/1 matrix with ``64 W`` columns (inverse of :func:`_bit_planes`)."""
-    octets = np.packbits(planes, axis=1, bitorder="little")
+def planes_to_labels(planes: np.ndarray, words: int) -> np.ndarray:
+    """Labels on ``words`` words from ``(dim, n)`` planes (inverse of :func:`label_planes`).
+
+    Byte ``k`` of every label is the sum of planes ``8k .. 8k + 7``
+    weighted by their place values, one ``einsum`` over the planes
+    padded to whole bytes (``uint8`` sums of distinct powers of two
+    stay below 256).
+    """
+    dim, n = planes.shape
+    rows = -(-dim // 8)
+    padded = np.zeros((8 * rows, n), dtype=np.uint8)
+    padded[:dim] = planes
+    by_byte = np.einsum("rbn,b->rn", padded.reshape(rows, 8, n), _BYTE_VALUES)
+    octets = np.zeros((n, 8 * words), dtype=np.uint8)
+    octets[:, :rows] = by_byte.T
     return octets.view("<u8").astype(np.uint64, copy=False)
 
 
 def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack an ``(n, dim)`` 0/1 matrix into labels (column ``j`` = bit ``j``)."""
     bits = np.asarray(bits)
-    n, dim = bits.shape
-    planes = np.zeros((n, WORD_BITS * words_for_bits(dim)), dtype=np.uint8)
-    planes[:, :dim] = bits
-    return _from_bit_planes(planes)
+    return planes_to_labels(bits.T.astype(np.uint8), words_for_bits(bits.shape[1]))
 
 
 def unpack_bit_matrix(labels: np.ndarray, dim: int) -> np.ndarray:
     """``(n, dim)`` int8 0/1 matrix; column ``j`` = bit ``j`` of each label."""
-    return _bit_planes(labels)[:, :dim].astype(np.int8)
+    return label_planes(labels, dim).T.astype(np.int8)
 
 
 def label_to_int(labels: np.ndarray, v: int) -> int:
@@ -420,14 +442,11 @@ def permute_bits(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
     ``len(perm)`` must be zero (labels use exactly ``len(perm)`` bits);
     the output keeps the input's word count.
 
-    One gather of bit columns between an unpack and a pack, so the cost
-    does not grow with a Python loop over the ``dim`` positions.
+    One gather of contiguous bit planes between an unpack and a pack, so
+    the cost does not grow with a Python loop over the ``dim`` positions.
     """
     perm = np.asarray(perm, dtype=np.int64)
-    planes = _bit_planes(labels)
-    out = np.zeros_like(planes)
-    out[:, : perm.shape[0]] = planes[:, perm]
-    return _from_bit_planes(out)
+    return planes_to_labels(label_planes(labels, perm.shape[0])[perm], labels.shape[1])
 
 
 def unpermute_bits(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:

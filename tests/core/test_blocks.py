@@ -4,7 +4,9 @@ On exact weights ``_one_hierarchy`` solves the greedy passes a block of
 levels at a time (:mod:`repro.core.blocks`).  The level walk is its
 oracle: both must give the same labels, and every ``swap_pass`` call must
 return the same ``(n_swaps, total_delta)`` and every ``contract_level``
-call a level of the same size -- what perfbench's ledger counts.
+call a level of the same size -- what perfbench's ledger counts.  The
+preferred labels assembly grants (``BlockHierarchy.preferences``, from
+the flips) must equal the walk's chain of parents and LSBs.
 
 Levels come from ``test_hierarchy_order.levels()`` (1 to 5 words, n of 0,
 1 and 2, no pairs and all pairs, isolated vertices, parallel and
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import blocks, enhancer
+from repro.core.assemble import assemble, assemble_reference, walk_preferences
 from repro.core.blocks import enclosing_boundaries, highest_differing_bits
 from repro.core.config import TimerConfig
 from repro.core.contraction import contract_level
@@ -41,8 +44,10 @@ def _integer_weights(case, kind):
 
 
 def _traced_hierarchy(edges, labels, dim, dim_e, perm, cfg, blocks_):
-    """``_one_hierarchy``'s labels, with every swap result and level size."""
+    """``_one_hierarchy``'s labels, with every swap result and level size,
+    and the levels it assembled from."""
     calls = []
+    assembled = []
 
     def swaps(level, sign, sweeps=1):
         out = swap_pass(level, sign, sweeps=sweeps)
@@ -54,20 +59,32 @@ def _traced_hierarchy(edges, labels, dim, dim_e, perm, cfg, blocks_):
         calls.append(("contract", level.n, out.n))
         return out
 
+    def assemble_(levels_, dim_):
+        assembled.append(levels_)
+        return assemble(levels_, dim_)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enhancer, "swap_pass", swaps)
         mp.setattr(enhancer, "contract_level", contract)
+        mp.setattr(enhancer, "assemble", assemble_)
         got = enhancer._one_hierarchy(
             edges, labels, dim, dim_e, perm, cfg, blocks=blocks_
         )
-    return got, calls
+    (levels_,) = assembled
+    return got, calls, levels_
 
 
 def _assert_blocks_match_walk(edges, labels, dim, dim_e, perm, cfg):
-    walk, walk_calls = _traced_hierarchy(edges, labels, dim, dim_e, perm, cfg, False)
-    got, calls = _traced_hierarchy(edges, labels, dim, dim_e, perm, cfg, True)
+    walk, walk_calls, walk_levels = _traced_hierarchy(
+        edges, labels, dim, dim_e, perm, cfg, False
+    )
+    got, calls, views = _traced_hierarchy(edges, labels, dim, dim_e, perm, cfg, True)
     assert got.dtype == walk.dtype and np.array_equal(got, walk)
     assert calls == walk_calls
+    # The flips' prefix XOR gives the preferred labels the walk's chain of
+    # parents and LSBs gives.
+    prefs = views[0].hierarchy.preferences()
+    assert np.array_equal(prefs, walk_preferences(walk_levels, dim))
     return calls
 
 
@@ -117,6 +134,20 @@ class TestBlocksMatchTheWalk:
         else:
             assert solves == [1]
         assert np.array_equal(enhancer._one_hierarchy(*args, blocks=True), default)
+
+    def test_the_grant_overrides_preferences_as_the_reference_does(self):
+        ga = gen.barabasi_albert(150, 3, seed=4)
+        pc = partial_cube_labeling(gen.fat_tree(2, 5))
+        app = build_application_labeling(ga, pc, np.arange(ga.n) % pc.n, seed=2)
+        perm = np.random.default_rng(3).permutation(app.dim).astype(np.int64)
+        args = (ga.edge_arrays(), app.labels, app.dim, app.dim_e, perm, TimerConfig())
+        _, _, walk_levels = _traced_hierarchy(*args, False)
+        _, _, views = _traced_hierarchy(*args, True)
+        prefs = views[0].hierarchy.preferences()
+        got = assemble(views, app.dim)
+        # Some preferences are not granted, so the conflict branch ran.
+        assert not np.array_equal(got, prefs)
+        assert np.array_equal(got, assemble_reference(walk_levels, app.dim))
 
     def test_the_enhancer_takes_blocks_exactly_on_exact_greedy_runs(self, monkeypatch):
         ga = gen.barabasi_albert(60, 2, seed=1)

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,36 @@ class TestMalformedGraphSpecs:
         graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 0], [1, 2, 2.5]]}
         status, _, _ = self._map(service, graph)
         assert status == 200
+
+    def _enhance(self, service, graph):
+        body = {"topology": "grid4x4", "graph": graph, "mu": [0, 1, 2, 3],
+                "seed": 1, "config": {"nh": 1}}
+        return asyncio.run(service.handle("enhance", body))
+
+    @pytest.mark.parametrize("route", ["map", "enhance"])
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 1, 1e308], [1, 2, 1e308], [2, 3, 1e308], [3, 0, 1]],
+            [[0, 1, 2**51], [1, 2, 2**51]],  # 2 * 2**52: exactly the bound
+            [[0, 1, 2**52 - 1], [1, 2]],  # a weightless edge counts 1
+        ],
+        ids=["overflow", "at-2**53", "weightless"],
+    )
+    def test_weight_sum_reaching_2_53(self, service, route, edges):
+        graph = {"kind": "edges", "n": 4, "edges": edges}
+        if route == "map":
+            status, reply, _ = self._map(service, graph)
+        else:
+            status, reply, _ = self._enhance(service, graph)
+        assert status == 400 and reply["error"] == "bad_request", reply
+        assert "graph edges" in reply["message"]
+
+    def test_weight_sum_just_below_2_53(self, service):
+        graph = {"kind": "edges", "n": 4, "edges": [[0, 1, 2**51], [1, 2, 2**51 - 1]]}
+        for status, reply, _ in (self._map(service, graph), self._enhance(service, graph)):
+            assert status == 200, reply
+            assert all(math.isfinite(v) for v in reply["metrics"].values()), reply
 
     def _generate(self, **sizing):
         return {"kind": "generate", "instance": "p2p-Gnutella", "seed": 3} | sizing
