@@ -22,7 +22,7 @@ against the level walk forced onto the sort-based, whole-level oracles
 (``contract_level_reference``, ``assemble_reference``, a
 ``sibling_pairs`` that sorts the labels every level, and swap gains that
 sum every CSR row and scan every edge for the pair weights); its floor
-(>= 1.5x) keeps a hierarchy at one label sort.  The ``hierarchy_blocks``
+(>= 1.5x) keeps a hierarchy from sorting its labels at every level.  The ``hierarchy_blocks``
 entry times the same hierarchy on the production level walk
 (``blocks=False``) against its greedy passes solved a block of levels
 at a time (``blocks=True``), outputs checked identical first; its floor
@@ -30,7 +30,8 @@ at a time (``blocks=True``), outputs checked identical first; its floor
 times assembly alone on that hierarchy after its swap passes: the
 production grant fed from the block hierarchy's flips against
 ``assemble_reference`` on the walk's levels, outputs checked identical
-first; its floor (>= 5x) keeps the grant on bit planes.
+first; its floor (>= 10x) keeps the grant on the label trie's branching
+nodes.
 
 The ``fm_refine`` and ``grow_bisection`` entries time the partitioner's
 incremental-gain paths against the fresh-sum oracles kept beside them
@@ -98,7 +99,7 @@ FLOORS = {
     "wide_partial_cube_labeling": 3.0,
     "wide_hierarchy": 1.5,
     "hierarchy_blocks": 2.0,
-    "wide_assemble": 5.0,
+    "wide_assemble": 10.0,
     "fm_refine": 3.0,
     "grow_bisection": 2.0,
     "kway_refine": 3.0,

@@ -20,9 +20,9 @@ but a global guarantee:
 
 Granting exactly ``capacity`` digits per group keeps the invariant, so
 after the last digit the new labeling is a permutation of ``L`` --
-verified by an explicit multiset check.  When no coarse swap happened,
-every preference is satisfiable and ``assemble`` returns the (post
-level-1-swap) input labeling unchanged; a property test pins this down.
+verified by one check at the end.  When no coarse swap happened, every
+preference is satisfiable and ``assemble`` returns the (post level-1-swap)
+input labeling unchanged; a property test pins this down.
 
 The paper inherits the most significant digit from the input labeling
 (Algorithm 2, lines 17-18); we use it as the *preference* for the final
@@ -36,17 +36,24 @@ every level-``l`` pair that swapped an odd number of times, one XOR
 difference per region end and one prefix XOR along ``X``
 (:meth:`~repro.core.blocks.BlockHierarchy.preferences`).  Walk levels
 (float weights, KL swaps) give ``P`` through their parents and LSBs, one
-level at a time (:func:`walk_preferences`).  Either way the grant needs
-``L`` only as a multiset.
+level at a time (:func:`walk_preferences`).  Either way the grant reads
+``L`` only as a set of unique labels.
 
-The suffix groups need no sort: going from ``j`` to ``j + 1`` digits
-splits every group by bit ``j``, so a group id refines to ``2 * gid +
-bit``, made dense again through a presence table: the previous digit's
-capacities, a ``bincount`` of the label keys.  The labels of ``L`` and
-the vertices share one numbering.  Their digits are read from bit planes
-unpacked once (:func:`~repro.utils.bitops.label_planes`); only keys
-wanted beyond their capacity are ranked, and the granted digits
-overwrite the preferred ones in the planes, packed once at the end.
+**The grant walks a trie.**  A digit decides something only in a suffix
+group whose labels take both of its values; everywhere else it is
+forced.  Those groups are the branching nodes of the labels' binary
+trie read least significant bit first (a PATRICIA trie).  Sorting the
+bit-reversed labels (:func:`~repro.utils.bitops.reverse_label_bits`)
+orders ``L`` that way, and the block hierarchy's own helpers give the
+trie's shape: the boundary between sorted positions ``j`` and ``j + 1``
+is a node at the lowest bit where the two labels differ
+(:func:`~repro.core.blocks.highest_differing_bits` on the reversed
+labels); its labels are the positions between its enclosing boundaries
+(:func:`~repro.core.blocks.enclosing_boundaries`), split by its bit at
+``j``; its children are the boundaries that hang below it in that
+Cartesian tree, or single positions, the leaves.  The grant moves every
+vertex one node down per round, so the rounds number the trie's depth,
+not ``dim``, and a vertex that reaches a leaf takes its label.
 :func:`assemble_reference` keeps the sort-based version (``np.unique``
 and ``searchsorted`` over the ``j``-bit suffixes at every digit, fed
 from the walk's levels) as the oracle.
@@ -56,25 +63,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import LevelView
+from repro.core.blocks import LevelView, enclosing_boundaries, highest_differing_bits
 from repro.core.contraction import Level
 from repro.utils.bitops import (
+    WORD_BITS,
     get_label_bit,
     label_lsb,
-    label_planes,
     label_sort_keys,
     low_bits,
-    planes_to_labels,
+    reverse_label_bits,
     set_label_bit,
     wide_mask,
 )
 from repro.utils.segments import group_ranks
 
+_ONE = np.uint64(1)
+
 
 def assemble(levels: list[Level | LevelView], dim: int) -> np.ndarray:
     """New level-1 labels from a (post-swap) hierarchy.
 
-    ``levels[0]`` is the finest level (its labels are the multiset ``L``
+    ``levels[0]`` is the finest level (its unique labels are the set ``L``
     the result must be a bijection onto); ``levels[j]`` is level ``j+1``
     whose labels' LSBs provide the preferred digit ``j``.  A block
     hierarchy's views hand over the preferred labels at once
@@ -111,62 +120,85 @@ def walk_preferences(levels: list[Level], dim: int) -> np.ndarray:
 
 
 def grant_preferences(labels: np.ndarray, prefs: np.ndarray, dim: int) -> np.ndarray:
-    """The counting grant: ``prefs`` made a bijection onto the multiset ``labels``.
+    """The counting grant: ``prefs`` made a bijection onto ``labels``.
 
-    Digit 0 is each vertex's own preference (the post-swap LSB).  Digit
-    ``j`` refines the suffix groups by digit ``j - 1`` and grants it
-    (:func:`_grant_digit`).  The labels and the preferences are unpacked
-    once into one set of bit planes, labels first; a granted digit
-    overwrites the vertex's preferred one, and the vertices' planes are
-    packed once at the end.
+    ``labels`` hold no bit at or above ``dim`` and must be unique; a
+    duplicate raises ``ValueError``.  Each round of the trie walk
+    (module docstring) grants, at the node where a vertex stands, the
+    vertex's preferred digit at the node's bit: as many of the vertices
+    preferring a side as the side has labels get it, the first in vertex
+    order, and the rest go to the other side.  Afterwards every leaf
+    must hold exactly one vertex -- the invariant that keeps the result
+    a permutation of ``L``.
     """
-    n, words = labels.shape
-    if n == 0:
-        return np.zeros_like(labels)
-    planes = label_planes(np.concatenate([labels, prefs]), max(dim, 1))
-    # Labels and vertices share one numbering of the suffix groups over
-    # digits 0 .. j-1, key = 2 * group + digit: keys[:n] are the labels',
-    # keys[n:] the vertices'.  A digit's capacities count the label
-    # keys, so its nonzero cells are the keys present, which the next
-    # digit numbers densely from group 1.
-    keys = planes[0].astype(np.int64)
-    capacity = np.bincount(keys[:n], minlength=2)
-    for j in range(1, dim):
-        dense = np.cumsum(capacity > 0)
-        dense += dense
-        keys = dense[keys]
-        keys += planes[j]
-        capacity = np.bincount(keys[:n], minlength=int(dense[-1]) + 2)
-        want = keys[n:]
-        if _grant_digit(want, capacity):
-            planes[j, n:] = want & 1
-    return planes_to_labels(planes[:, n:], words)
-
-
-def _grant_digit(want: np.ndarray, capacity: np.ndarray) -> bool:
-    """Grant digit ``j`` in place; whether any preference was refused.
-
-    ``want`` holds each vertex's key ``2 * group + digit`` with its
-    preferred digit; ``capacity[2 * g + b]`` counts the labels of group
-    ``g`` with digit ``b``.  The first that many vertices of the group
-    preferring ``b``, in vertex order, get it, and the rest get the other
-    digit, so only the keys wanted beyond their capacity are ranked.
-    Afterwards the vertex keys must count exactly like the label keys --
-    the invariant that keeps the result a permutation of ``L``.
-    """
-    n_keys = capacity.shape[0]
-    wanted = np.bincount(want, minlength=n_keys)
-    if np.array_equal(wanted, capacity):
-        return False
-    over = np.flatnonzero((wanted > capacity)[want])
-    keys = want[over]
-    want[over[group_ranks(keys) >= capacity[keys]]] ^= 1
-    if not np.array_equal(np.bincount(want, minlength=n_keys), capacity):
+    n = labels.shape[0]
+    if n <= 1:
+        return labels.copy()
+    order, child, capacity, bit, root = _label_trie(labels, dim)
+    # Word w of vertex v's preferred label sits at w * n + v.
+    by_word = prefs.T.ravel()
+    word = bit // WORD_BITS * n
+    shift = (bit % WORD_BITS).astype(np.uint64)
+    # The vertices still walking, in vertex order, and the key ``2 * j``
+    # of the node ``j`` each stands at; a wanted side's key adds its digit.
+    vertex = np.arange(n, dtype=np.int64)
+    at = np.full(n, root, dtype=np.int64)
+    leaf = np.empty(n, dtype=np.int64)
+    while vertex.size:
+        want = at + ((by_word[word[at] + vertex] >> shift[at]) & _ONE).view(np.int64)
+        wanted = np.bincount(want, minlength=capacity.shape[0])
+        over = np.flatnonzero((wanted > capacity)[want])
+        if over.size:
+            keys = want[over]
+            want[over[group_ranks(keys) >= capacity[keys]]] ^= 1
+        at = child[want]
+        done = at < 0
+        if done.any():
+            leaf[vertex[done]] = ~at[done]
+            walking = ~done
+            vertex, at = vertex[walking], at[walking]
+    if not np.array_equal(np.bincount(leaf, minlength=n), np.ones(n, dtype=np.int64)):
         raise RuntimeError(
             "assemble() produced labels that are not a permutation of L; "
             "this is a bug in the counting scheme"
         )
-    return True
+    return np.take(labels, order[leaf], axis=0)
+
+
+def _label_trie(labels: np.ndarray, dim: int) -> tuple:
+    """``(order, child, capacity, bit, root)``: the trie of :func:`grant_preferences`.
+
+    ``order`` sorts the labels least significant bit first.  Node ``j``
+    is the boundary between sorted positions ``j`` and ``j + 1``, and
+    key ``2 * j + b`` its side ``b``: ``capacity`` counts the side's
+    labels, ``child`` holds the key ``2 * i`` of the node ``i`` below it
+    or ``~p`` for the leaf at position ``p``, and ``bit`` is the node's
+    bit.  ``root`` is the top node's key.
+    """
+    n, words = labels.shape
+    flipped = reverse_label_bits(labels)
+    order = np.lexsort(flipped.T)
+    h = highest_differing_bits(flipped[order])
+    if h.min() < WORD_BITS * words - dim:
+        raise ValueError(f"the grant needs labels unique within {dim} bits")
+    left, right = enclosing_boundaries(h)
+    m = n - 1
+    j = np.arange(m, dtype=np.int64)
+    capacity = np.empty(2 * m, dtype=np.int64)
+    capacity[0::2] = j - left
+    capacity[1::2] = right - j
+    # A node hangs below the nearer of its enclosing boundaries, the one
+    # with the smaller h: on the right side of the left one, or on the
+    # left side of the right one.  The root's slot is the spare last cell.
+    top = np.iinfo(np.int64).max
+    padded = np.concatenate([[top], h, [top]])
+    slot = np.where(padded[left + 1] < padded[right + 1], 2 * left + 1, 2 * right)
+    child = np.empty(2 * m + 1, dtype=np.int64)
+    child[0::2] = ~np.arange(m + 1, dtype=np.int64)
+    child[1::2] = ~(j + 1)
+    child[slot] = 2 * j
+    bit = np.repeat(WORD_BITS * words - 1 - h, 2)
+    return order, child, capacity, bit, 2 * int(np.argmax(h))
 
 
 def assemble_reference(levels: list[Level], dim: int) -> np.ndarray:

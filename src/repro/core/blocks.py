@@ -96,16 +96,17 @@ def _previous_greater(h: np.ndarray) -> np.ndarray:
 
     Pointer jumping: every link starts at its left neighbour and jumps
     along its target's link while the target is not larger.  Everything
-    a link passes is at most ``h[j]``, so it stops at the answer.
+    a link passes is at most ``h[j]``, so it stops at the answer, and
+    each round looks only at the links that jumped in the last.
     """
     key = np.concatenate([[np.iinfo(np.int64).max], h])
     link = np.arange(-1, h.shape[0], dtype=np.int64)
     link[0] = 0
-    while True:
-        jump = np.flatnonzero(key[link[1:]] <= key[1:]) + 1
-        if not jump.size:
-            return link[1:] - 1
+    jump = np.arange(1, h.shape[0] + 1, dtype=np.int64)
+    while jump.size:
+        jump = jump[key[link[jump]] <= key[jump]]
         link[jump] = link[link[jump]]
+    return link[1:] - 1
 
 
 def enclosing_boundaries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -188,7 +188,9 @@ class GraphSpec:
         # The sizing fields reach scaled_n, which divides by the divisor
         # and clips to [n_min, n_max]; normalized so the cache key is too.
         for name in ("seed", "divisor", "n_min", "n_max"):
-            object.__setattr__(self, name, wire_int(getattr(self, name), name))
+            object.__setattr__(self, name, wire_int(getattr(self, name), f"graph {name}"))
+        if self.seed < 0:
+            raise ConfigurationError(f"graph seed must be >= 0, got {reprlib.repr(self.seed)}")
         if self.divisor < 1:
             raise ConfigurationError(f"divisor must be >= 1, got {self.divisor}")
         if self.n_min < 1:
@@ -275,6 +277,11 @@ class GraphSpec:
             )
         body = dict(payload)
         if "edges" in body:
+            if not isinstance(body["edges"], (list, tuple)):
+                raise ConfigurationError(
+                    "graph edges must be an array of [u, v] or [u, v, weight], "
+                    f"got {reprlib.repr(body['edges'])}"
+                )
             body["edges"] = tuple(
                 tuple(e) if isinstance(e, list) else e for e in body["edges"]
             )

@@ -215,10 +215,14 @@ def parse_request(
     seed = payload.get("seed")
     if seed is not None:
         seed = wire_int(seed, "seed")
+        if seed < 0:
+            raise ReproError(f"seed must be >= 0, got {reprlib.repr(seed)}")
     mu = payload.get("mu")
     if require_mu and mu is None:
         raise ReproError("enhance requests need a 'mu' mapping array")
     if mu is not None:
+        if not isinstance(mu, (list, tuple)):
+            raise ReproError(f"mu must be an array of integers, got {reprlib.repr(mu)}")
         mu = np.asarray(
             [wire_int(x, f"mu[{i}]") for i, x in enumerate(mu)], dtype=np.int64
         )

@@ -45,6 +45,8 @@ _BYTE_VALUES = np.left_shift(np.uint8(1), _BYTE_SHIFTS)
 
 #: Popcounts of all byte values; powers the byte-LUT reference fallback.
 _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+#: Every byte value with its eight bits in reverse order.
+_REVERSED_BYTES = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 
 
 def _bitwise_count_fallback(x) -> np.ndarray:
@@ -317,6 +319,18 @@ def argsort_labels(labels) -> np.ndarray:
     from repro.core.backend import current_backend
 
     return current_backend().argsort_labels(as_label_array(labels))
+
+
+def reverse_label_bits(labels: np.ndarray) -> np.ndarray:
+    """Every label with its ``64 * W`` bits in reverse order.
+
+    Bit ``j`` moves to bit ``64 * W - 1 - j``: each byte through a
+    256-entry table, then the bytes in reverse order.  Numeric order of
+    the reversed labels is the originals' order least significant bit
+    first.
+    """
+    octets = np.ascontiguousarray(labels, dtype="<u8").view(np.uint8)
+    return np.take(_REVERSED_BYTES, octets[:, ::-1]).view("<u8").astype(np.uint64, copy=False)
 
 
 def adjacent_siblings(rows: np.ndarray) -> np.ndarray:

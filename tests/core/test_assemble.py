@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.assemble import assemble
+from repro.core.assemble import assemble, grant_preferences
 from repro.utils.segments import group_ranks
 from repro.core.contraction import contract_level, make_finest_level
 from repro.core.swaps import swap_pass
 from repro.graphs import generators as gen
-from repro.utils.bitops import label_to_int
+from repro.utils.bitops import int_to_label_row, label_to_int
 
 
 def _ints(labels):
@@ -100,3 +100,23 @@ class TestBijectivity:
         levels = _build_levels(g, labels, dim, swap_signs=rng.choice([-1, 1], dim))
         out = assemble(levels, dim)
         assert sorted(_ints(out)) == sorted(labels.tolist())
+
+
+class TestGrantPreferences:
+    def test_overflow_goes_to_the_other_side_in_vertex_order(self):
+        labels = np.arange(4, dtype=np.uint64).reshape(-1, 1)
+        prefs = np.asarray([[2], [2], [1], [1]], dtype=np.uint64)
+        # Digit 0 is granted to all; at digit 1 each suffix group has
+        # one label per digit, so the second vertex of each pair is
+        # refused.
+        assert _ints(grant_preferences(labels, prefs, 2)) == [2, 0, 1, 3]
+
+    def test_duplicate_labels_are_refused(self):
+        labels = np.asarray([[3], [3], [4]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="unique"):
+            grant_preferences(labels, labels.copy(), 3)
+
+    def test_labels_equal_within_dim_bits_are_refused(self):
+        labels = np.stack([int_to_label_row(v, 2) for v in (1, 1 | 1 << 70, 2)])
+        with pytest.raises(ValueError, match="unique within 8 bits"):
+            grant_preferences(labels, labels.copy(), 8)

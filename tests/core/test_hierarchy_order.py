@@ -1,9 +1,10 @@
 """Differential tests: the one-sort hierarchy against the sort-based oracles.
 
 A hierarchy sorts its labels once, at the finest level; every later
-grouping reads the level order (``Level.order``) or refines groups bit by
-bit.  Each fast path here is checked array for array against the code it
-replaced, kept in-tree as an oracle:
+grouping reads the level order (``Level.order``), and assembly sorts the
+bit-reversed labels once for the trie its grant walks.  Each fast path
+here is checked array for array against the code it replaced, kept
+in-tree as an oracle:
 
 - ``contract_level`` against ``contract_level_reference`` (labels,
   parents, merged edges and every CSR array);
@@ -13,8 +14,9 @@ replaced, kept in-tree as an oracle:
 - ``counting_argsort`` against ``np.argsort(kind="stable")``.
 
 Levels are adversarial: 1 to 5 label words, 0, 1 and 2 vertices, no
-sibling pairs or nothing but sibling pairs, isolated vertices, parallel
-and reversed edges, one-decimal float weights.
+sibling pairs or nothing but sibling pairs, sparse labels with 1 to 4
+set bits (a deep, lopsided trie for the grant), isolated vertices,
+parallel and reversed edges, one-decimal float weights.
 """
 
 import sys
@@ -49,24 +51,34 @@ def levels(draw):
     """``(edges, labels, dim, rng)`` for one adversarial finest level."""
     words = draw(st.integers(1, 5))
     n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40)))
-    pairs = draw(st.sampled_from(["none", "all", "mixed"]))
+    shape = draw(st.sampled_from(["no pairs", "all pairs", "mixed", "sparse"]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    # Prefixes cluster around a few bases, so adjacent labels often share
-    # every high word and differ only low down.
     top = 64 * words - 1
-    bases = [int(rng.integers(0, 2**62)) << max(0, top - 62) for _ in range(3)]
-    prefixes: set[int] = set()
-    while len(prefixes) < n:
-        low = int(rng.integers(0, 2 ** min(top, 12)))
-        prefixes.add((bases[int(rng.integers(0, 3))] ^ low) % (1 << top))
     values: list[int] = []
-    for p in sorted(prefixes):
-        both = pairs == "all" or (pairs == "mixed" and rng.random() < 0.5)
-        if both and len(values) + 2 <= n:
-            values += [2 * p, 2 * p + 1]
-        elif len(values) < n:
-            values.append(2 * p + int(rng.integers(0, 2)))
+    if shape == "sparse":
+        # Like a tree topology's root paths: 1 to 4 set bits each, so the
+        # labels' trie read least significant bit first is deep and
+        # lopsided.
+        sparse: set[int] = set()
+        while len(sparse) < n:
+            bits = rng.choice(top + 1, size=int(rng.integers(1, 5)), replace=False)
+            sparse.add(sum(1 << int(b) for b in bits))
+        values = sorted(sparse)
+    else:
+        # Prefixes cluster around a few bases, so adjacent labels often
+        # share every high word and differ only low down.
+        bases = [int(rng.integers(0, 2**62)) << max(0, top - 62) for _ in range(3)]
+        prefixes: set[int] = set()
+        while len(prefixes) < n:
+            low = int(rng.integers(0, 2 ** min(top, 12)))
+            prefixes.add((bases[int(rng.integers(0, 3))] ^ low) % (1 << top))
+        for p in sorted(prefixes):
+            both = shape == "all pairs" or (shape == "mixed" and rng.random() < 0.5)
+            if both and len(values) + 2 <= n:
+                values += [2 * p, 2 * p + 1]
+            elif len(values) < n:
+                values.append(2 * p + int(rng.integers(0, 2)))
     rng.shuffle(values)
     rows = [int_to_label_row(v, words) for v in values]
     labels = np.stack(rows) if rows else np.zeros((0, words), dtype=np.uint64)
@@ -226,7 +238,9 @@ class TestOneLabelSortPerHierarchy:
         argsorts = _count_calls(monkeypatch, bitops.argsort_labels)
         uniques = _count_calls(monkeypatch, bitops.unique_labels)
         sort_keys = _count_calls(monkeypatch, bitops.label_sort_keys)
+        reversals = _count_calls(monkeypatch, bitops.reverse_label_bits)
         enhancer._one_hierarchy(ga.edge_arrays(), app.labels, app.dim, app.dim_e, perm, cfg)
         assert len(argsorts) == 1
         assert len(uniques) == 0
         assert len(sort_keys) == 1  # the one argsort's keys
+        assert len(reversals) == 1  # the grant's trie, sorted by lexsort

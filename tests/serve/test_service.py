@@ -78,6 +78,41 @@ class TestParsing:
         with pytest.raises(ReproError, match="admits at most"):
             parse_request(_map_body(), max_graph_n=50)  # spec n_max=192
 
+    @pytest.mark.parametrize("mu", [7, 1.5, True, "0123", {"0": 0}])
+    def test_mu_that_is_not_an_array(self, mu):
+        with pytest.raises(ReproError, match="^mu must be an array"):
+            parse_request(_map_body(mu=mu))
+
+    @pytest.mark.parametrize("edges", [5, 1.5, True, "0,1", {"0": 1}])
+    def test_graph_edges_that_are_not_an_array(self, edges):
+        graph = {"kind": "edges", "n": 4, "edges": edges}
+        with pytest.raises(ReproError, match="^graph edges must be an array"):
+            parse_request({"topology": "grid4x4", "graph": graph})
+
+    @pytest.mark.parametrize("seed", [-5, -1, -(2**70)])
+    def test_negative_seeds(self, seed):
+        with pytest.raises(ReproError, match="^seed must be >= 0"):
+            parse_request(_map_body() | {"seed": seed})
+        with pytest.raises(ReproError, match="^graph seed must be >= 0"):
+            parse_request(_map_body(seed=seed) | {"seed": 0})
+        request = parse_request(_map_body(seed=0))
+        assert request.seed == 0 and request.graph.seed == 0
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ({"mu": 7}, "mu must be"),
+            ({"graph": {"kind": "edges", "n": 4, "edges": 5}}, "graph edges must be"),
+            ({"seed": -5}, "seed must be"),
+            ({"graph": {"kind": "generate", "seed": -5}}, "graph seed must be"),
+            ({"graph": {"kind": "generate", "seed": 1.5}}, "graph seed must be"),
+        ],
+    )
+    def test_the_service_answers_400_naming_the_field(self, service, fields, named):
+        status, reply, _ = asyncio.run(service.handle("enhance", _map_body(mu=[0]) | fields))
+        assert status == 400 and reply["error"] == "bad_request"
+        assert reply["message"].startswith(named)
+
     def test_config_spellings(self):
         cfg = parse_config({"case": "c3", "nh": 4, "strategy": "kl"})
         assert cfg.initial_mapping == "c3"

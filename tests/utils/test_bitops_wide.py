@@ -22,6 +22,7 @@ from repro.utils.bitops import (
     pairwise_hamming,
     permute_bits,
     popcount_labels,
+    reverse_label_bits,
     shift_left_labels,
     shift_right_labels,
     swap_label_rows,
@@ -156,6 +157,16 @@ class TestBigIntEquivalence:
             assert _ints(uniq) == sorted(set(cut))
             for i, v in enumerate(cut):
                 assert label_to_int(uniq, int(inverse[i])) == v
+
+    @given(st.integers(1, 5), st.lists(st.integers(0, (1 << 320) - 1), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_reverse_label_bits(self, words, raw):
+        width = 64 * words
+        cut = [v % (1 << width) for v in raw]
+        labels = _as_wide(cut, words) if cut else zeros_labels(0, width)
+        got = reverse_label_bits(labels)
+        assert got.shape == labels.shape and got.dtype == np.uint64
+        assert _ints(got) == [int(f"{v:0{width}b}"[::-1], 2) for v in cut]
 
     def test_hamming_and_pairwise(self):
         a = _as_wide([0, (1 << 100) | 3, (1 << 191)])
