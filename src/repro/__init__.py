@@ -15,7 +15,9 @@ cubes -- together with every substrate it depends on:
   dual recursive bipartitioning as a SCOTCH stand-in),
 - the staged :mod:`repro.api` pipeline -- one registry-driven path shared
   by the CLI, the library and the experiment harness,
-- the experiment harness regenerating every table and figure of the paper.
+- the experiment harness regenerating every table and figure of the paper
+  (:mod:`repro.experiments`, imported on demand: the library never loads
+  it).
 
 Quickstart
 ----------
@@ -40,7 +42,7 @@ pluggable values in :data:`repro.api.REGISTRY`.
 """
 
 from repro._version import __version__
-from repro import graphs, partialcube, partitioning, mapping, core, experiments
+from repro import graphs, partialcube, partitioning, mapping, core
 from repro.core.enhancer import timer_enhance, TimerResult
 from repro.core.config import TimerConfig
 from repro import api
@@ -55,7 +57,6 @@ __all__ = [
     "partitioning",
     "mapping",
     "core",
-    "experiments",
     "api",
     "REGISTRY",
     "Registry",

@@ -12,15 +12,19 @@ Members:
   -- the unified strategy registry (partitioners, initial mappings,
   enhancers, topologies, scenarios, hooks),
 - :class:`~repro.api.topology.Topology` -- a processor-graph session
-  owning the labeling and distance caches shared across runs,
+  owning the labeling and distance caches shared across runs; its module
+  registers the built-in topologies (``grid16x16``, ``hq8``, ...),
 - :class:`~repro.api.pipeline.Pipeline`,
   :class:`~repro.api.pipeline.PipelineConfig`,
   :class:`~repro.api.pipeline.PipelineResult` -- the staged pipeline,
-- the stage protocols in :mod:`repro.api.stages`.
+- the stage protocols in :mod:`repro.api.stages`,
+- :mod:`repro.api.identity` -- the run identity (``cell_key`` and its
+  canonical JSON) behind every result key, stored or served.
 
 Only the registry loads eagerly; everything else resolves lazily so that
-strategy-defining modules (``mapping.mapper``, ``experiments.topologies``)
-can import the registry without a cycle.
+strategy-defining modules (``mapping.mapper``, ``experiments.matrix``)
+can import the registry without a cycle.  Nothing here imports the
+experiment harness (:mod:`repro.experiments`), which sits on top.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ stages, mirroring the two conventions that existed before the redesign:
 
 from __future__ import annotations
 
-import hashlib
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, ClassVar
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro._version import __version__
+from repro.api.identity import STORE_SCHEMA, array_fingerprint, cell_key
 from repro.api.registry import (
     ENHANCE,
     INITIAL_MAPPING,
@@ -53,7 +54,6 @@ from repro.api.topology import Topology
 from repro.core.config import TimerConfig
 from repro.core.enhancer import TimerResult
 from repro.errors import ConfigurationError
-from repro.experiments.store import STORE_SCHEMA, cell_key
 from repro.graphs.graph import Graph
 from repro.mapping.objective import coco_from_distances
 from repro.partitioning.metrics import edge_cut
@@ -101,7 +101,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.seed_policy not in ("stream", "raw"):
             raise ConfigurationError(
-                f"seed_policy must be 'stream' or 'raw', got {self.seed_policy!r}"
+                f"seed_policy must be 'stream' or 'raw', got {reprlib.repr(self.seed_policy)}"
             )
         if self.backend:
             from repro.core.backend import resolve_backend_name
@@ -223,14 +223,6 @@ class PipelineResult:
 
 def _off(name: str) -> bool:
     return name in ("", "none")
-
-
-def _array_fingerprint(arr: np.ndarray | None) -> str | None:
-    """Content hash of a caller-supplied input array (None = not supplied)."""
-    if arr is None:
-        return None
-    data = np.ascontiguousarray(arr, dtype=np.int64).tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class Pipeline:
@@ -597,8 +589,8 @@ class Pipeline:
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
             "config": self.config.identity(),
             "inputs": {
-                "partition": _array_fingerprint(partition_in),
-                "mu": _array_fingerprint(mu_in),
+                "partition": array_fingerprint(partition_in),
+                "mu": array_fingerprint(mu_in),
             },
         }
 

@@ -32,6 +32,7 @@ other way around, so there are no import cycles.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Callable, Iterable
 from typing import Any
 
@@ -124,13 +125,13 @@ class Registry:
 
         Unknown names raise :class:`ConfigurationError` listing what *is*
         registered -- the message callers relied on from the old per-module
-        registries.
+        registries.  The name is echoed bounded: it may come off the wire.
         """
         space = self._spaces.get(kind, {})
         if name not in space:
             known = ", ".join(sorted(space)) or "<nothing>"
             raise ConfigurationError(
-                f"unknown {kind} {name!r}; known: {known}"
+                f"unknown {kind} {reprlib.repr(name)}; known: {known}"
             )
         return space[name]
 

@@ -14,6 +14,14 @@ runner, which evaluates Coco from labels) never pay for them.
 ``labelings_computed`` counts actual labeling computations; the batch
 test asserts it stays at one across a whole ``run_batch``.
 
+Built-in topologies
+-------------------
+This module registers the built-in processor graphs (the paper's five,
+the widened and wide-label interconnects, and small variants for tests)
+under the ``topology`` registry kind, next to :meth:`Topology.from_name`
+that resolves them, so a name like ``grid16x16`` resolves without the
+experiment harness loaded.
+
 Cross-process labeling cache
 ----------------------------
 The in-process session cache dies with the process, so an experiment
@@ -21,13 +29,13 @@ sweep with spawn workers (or repeated CLI invocations) used to recompute
 every labeling per process.  Setting the ``REPRO_LABELING_CACHE``
 environment variable to a directory (the experiment runner points it at
 ``<store>/labelings`` automatically) persists each labeling as one
-``.npz`` file keyed by the artifact store's identity-hash convention --
-sha256 of a canonical identity covering the store schema, the code
-version and a content fingerprint of the graph's edges.  Writes are
-atomic (temp file + ``os.replace``), concurrent writers settle on one
-complete record, and unreadable or mismatched files degrade to a
-recompute, exactly like :class:`~repro.experiments.store.ArtifactStore`
-records.
+``.npz`` file keyed by the run-identity convention of
+:mod:`repro.api.identity` -- sha256 of a canonical identity covering the
+store schema, the code version and a content fingerprint of the graph's
+edges.  Writes are atomic (temp file + ``os.replace``), concurrent
+writers settle on one complete record, and unreadable or mismatched
+files degrade to a recompute, exactly like
+:class:`~repro.experiments.store.ArtifactStore` records.
 """
 
 from __future__ import annotations
@@ -36,12 +44,16 @@ import hashlib
 import os
 import tempfile
 import zipfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
+from repro._version import __version__
+from repro.api.identity import STORE_SCHEMA, cell_key
 from repro.api.registry import REGISTRY, TOPOLOGY
 from repro.errors import ConfigurationError
+from repro.graphs import generators as gen
 from repro.graphs.algorithms import all_pairs_distances
 from repro.graphs.graph import Graph
 from repro.partialcube.djokovic import (
@@ -170,6 +182,43 @@ def labeling_stats() -> dict:
 
 REGISTRY.subscribe(TOPOLOGY, lambda name: _SESSIONS.pop(name))
 
+#: The built-in builders, registered below into the unified registry
+#: (kind ``topology``) -- the single lookup the CLI, the pipeline and the
+#: experiment runner all resolve topology names through.
+_BUILTIN_BUILDERS: dict[str, Callable[[], Graph]] = {
+    # paper set
+    "grid16x16": lambda: gen.grid(16, 16),
+    "grid8x8x8": lambda: gen.grid(8, 8, 8),
+    "torus16x16": lambda: gen.torus(16, 16),
+    "torus8x8x8": lambda: gen.torus(8, 8, 8),
+    "hq8": lambda: gen.hypercube(8),
+    # widened interconnect set: fat-tree, dragonfly, 3-D torus
+    "fattree2x5": lambda: gen.fat_tree(2, 5),
+    "fattree4x2": lambda: gen.fat_tree(4, 2),
+    "dragonfly8x5": lambda: gen.dragonfly(8, 5),
+    "torus8x8x4": lambda: gen.torus(8, 8, 4),
+    # wide-label set: beyond the lifted 63-class cap
+    "fattree2x7": lambda: gen.fat_tree(2, 7),
+    "fattree4x3": lambda: gen.fat_tree(4, 3),
+    "fattree2x6": lambda: gen.fat_tree(2, 6),
+    "dragonfly16x6": lambda: gen.dragonfly(16, 6),
+    # small variants for tests, docs and quick examples
+    "dragonfly4x2": lambda: gen.dragonfly(4, 2),
+    "grid4x4": lambda: gen.grid(4, 4),
+    "grid8x8": lambda: gen.grid(8, 8),
+    "grid4x4x4": lambda: gen.grid(4, 4, 4),
+    "torus4x4": lambda: gen.torus(4, 4),
+    "torus8x8": lambda: gen.torus(8, 8),
+    "torus4x4x4": lambda: gen.torus(4, 4, 4),
+    "hq4": lambda: gen.hypercube(4),
+    "hq6": lambda: gen.hypercube(6),
+    "path16": lambda: gen.path(16),
+    "cbt4": lambda: gen.complete_binary_tree(4),
+}
+
+for _name, _builder in _BUILTIN_BUILDERS.items():
+    REGISTRY.register(TOPOLOGY, _name, _builder)
+
 
 class Topology:
     """A processor graph plus its lazily computed, shared precomputation."""
@@ -295,9 +344,6 @@ def labeling_cache_key(graph: Graph) -> str:
     registrations of the same topology share one cache file and renaming
     never serves stale labels.
     """
-    from repro._version import __version__
-    from repro.experiments.store import STORE_SCHEMA, cell_key
-
     us, vs, ws = graph.edge_arrays()
     edges = hashlib.sha256()
     for arr in (us, vs, ws):

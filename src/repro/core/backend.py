@@ -50,6 +50,7 @@ process, on first use, so ``import repro`` never imports numba.
 from __future__ import annotations
 
 import functools
+import reprlib
 import threading
 from contextlib import contextmanager
 from collections.abc import Iterator
@@ -372,7 +373,9 @@ def _validated(name: str) -> str:
     low = str(name).lower()
     if low != "auto" and (KERNEL_BACKEND, low) not in REGISTRY:
         known = ", ".join(known_backends())
-        raise ValueError(f"unknown kernel backend {name!r}; expected one of: {known}")
+        raise ValueError(
+            f"unknown kernel backend {reprlib.repr(name)}; expected one of: {known}"
+        )
     return low
 
 

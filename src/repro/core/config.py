@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -59,6 +60,7 @@ class TimerConfig:
                 f"selection must be 'best_coco' or 'last', got {self.selection!r}"
             )
         if self.swap_strategy not in ("greedy", "kl"):
+            # Echoed bounded: a served config carries the client's string.
             raise ConfigurationError(
-                f"swap_strategy must be 'greedy' or 'kl', got {self.swap_strategy!r}"
+                f"swap_strategy must be 'greedy' or 'kl', got {reprlib.repr(self.swap_strategy)}"
             )

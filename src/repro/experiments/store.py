@@ -2,11 +2,12 @@
 
 One JSON file per *cell* -- a single ``(instance, topology, case,
 repetition)`` run of the sweep.  The file name is the SHA-256 of the
-cell's canonical **identity**: every configuration knob that influences
-the computed numbers (sweep seed, sizing, TIMER budget, instance
-fingerprint) plus the code version and a store schema version.  Anything
-that changes the result changes the key, so a hit is always safe to
-reuse; execution knobs (``--jobs``, verbosity) are deliberately excluded.
+cell's canonical **identity** (:func:`repro.api.identity.cell_key`):
+every configuration knob that influences the computed numbers (sweep
+seed, sizing, TIMER budget, instance fingerprint) plus the code version
+and a store schema version.  Anything that changes the result changes
+the key, so a hit is always safe to reuse; execution knobs (``--jobs``,
+verbosity) are deliberately excluded.
 
 Each record splits into:
 
@@ -26,7 +27,6 @@ mismatching records are treated as misses and recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -34,23 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterator
 
-#: Bump when the record layout or the semantics of stored fields change;
-#: invalidates every existing store entry.
-STORE_SCHEMA = 1
-
-
-def canonical_json(obj: object) -> str:
-    """Canonical JSON: sorted keys, no whitespace, full float precision.
-
-    ``repr``-based float formatting round-trips exactly, so two runs that
-    compute the same numbers serialize to the same bytes.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def cell_key(identity: dict) -> str:
-    """SHA-256 hex digest of a cell's canonical identity."""
-    return hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
+from repro.api.identity import STORE_SCHEMA, canonical_json, cell_key  # noqa: F401  (re-exported)
 
 
 def deterministic_bytes(record: dict) -> bytes:

@@ -1,8 +1,12 @@
 """The paper's processor topologies (§7.1) and their labelings.
 
-The five production topologies all have 256 or 512 PEs; recognition plus
-labeling costs a few hundred milliseconds each, so labelings are cached
-per process.  ``*_small`` variants keep unit and integration tests fast.
+This module names the topology sets the harness sweeps: the paper's
+five (256 or 512 PEs each), the widened and the wide-label sets.  The
+builders behind every name, small test variants included, are
+registered by :mod:`repro.api.topology`, which resolves them without
+this module loaded.  Recognition plus labeling costs a few hundred
+milliseconds per production topology, so labelings are cached per
+process (:func:`make_topology` shares the session cache).
 
 Note on convex-cut counts: the paper states the topologies have
 30/21/32/24/8 convex cuts respectively.  Grid and hypercube counts match
@@ -17,11 +21,8 @@ counted both meridians of each class.  EXPERIMENTS.md discusses the
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.api.registry import REGISTRY, TOPOLOGY
 from repro.api.topology import Topology
-from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.partialcube.djokovic import PartialCubeLabeling
 
@@ -57,43 +58,6 @@ WIDE_TOPOLOGIES: tuple[str, ...] = (
     "dragonfly16x6",
     "torus16x16",
 )
-
-#: The built-in builders, registered below into the unified registry
-#: (kind ``topology``) -- the single lookup the CLI, the pipeline and the
-#: experiment runner all resolve topology names through.
-_BUILTIN_BUILDERS: dict[str, Callable[[], Graph]] = {
-    # paper set
-    "grid16x16": lambda: gen.grid(16, 16),
-    "grid8x8x8": lambda: gen.grid(8, 8, 8),
-    "torus16x16": lambda: gen.torus(16, 16),
-    "torus8x8x8": lambda: gen.torus(8, 8, 8),
-    "hq8": lambda: gen.hypercube(8),
-    # widened interconnect set (ISSUE 2): fat-tree, dragonfly, 3-D torus
-    "fattree2x5": lambda: gen.fat_tree(2, 5),
-    "fattree4x2": lambda: gen.fat_tree(4, 2),
-    "dragonfly8x5": lambda: gen.dragonfly(8, 5),
-    "torus8x8x4": lambda: gen.torus(8, 8, 4),
-    # wide-label set (ISSUE 4): beyond the lifted 63-class cap
-    "fattree2x7": lambda: gen.fat_tree(2, 7),
-    "fattree4x3": lambda: gen.fat_tree(4, 3),
-    "fattree2x6": lambda: gen.fat_tree(2, 6),
-    "dragonfly16x6": lambda: gen.dragonfly(16, 6),
-    # small variants for tests, docs and quick examples
-    "dragonfly4x2": lambda: gen.dragonfly(4, 2),
-    "grid4x4": lambda: gen.grid(4, 4),
-    "grid8x8": lambda: gen.grid(8, 8),
-    "grid4x4x4": lambda: gen.grid(4, 4, 4),
-    "torus4x4": lambda: gen.torus(4, 4),
-    "torus8x8": lambda: gen.torus(8, 8),
-    "torus4x4x4": lambda: gen.torus(4, 4, 4),
-    "hq4": lambda: gen.hypercube(4),
-    "hq6": lambda: gen.hypercube(6),
-    "path16": lambda: gen.path(16),
-    "cbt4": lambda: gen.complete_binary_tree(4),
-}
-
-for _name, _builder in _BUILTIN_BUILDERS.items():
-    REGISTRY.register(TOPOLOGY, _name, _builder)
 
 
 def topology_names(paper_only: bool = False) -> tuple[str, ...]:

@@ -26,64 +26,12 @@ Layers (bottom up):
 - :mod:`repro.serve.loadgen` -- a deterministic open-loop load
   generator over scenario-derived request mixes.
 
+The package re-exports nothing, so a process loads only the layers it
+imports (the server never loads the load generator).
+
 Protocol, batching semantics and the determinism contract are
 documented in ``docs/serving.md``; ``python -m repro serve`` and
 ``python -m repro loadgen`` are the CLI entry points, and
 ``benchmarks/bench_serve.py`` measures the batched-vs-unbatched
 throughput and tail latency into ``BENCH_serve.json``.
 """
-
-from repro.serve.cache import TopologyCache
-from repro.serve.faults import FaultPlan, corrupt_cache_dir, corrupt_npz_file
-from repro.serve.loadgen import LoadProfile, LoadReport, generate_load, run_load
-from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.serve.pool import SupervisedPool
-from repro.serve.retry import CircuitBreaker, RetryPolicy
-from repro.serve.scheduler import (
-    BatchScheduler,
-    DeadlineExceededError,
-    GraphSpec,
-    MapRequest,
-    QueueFullError,
-    ServedResult,
-)
-from repro.serve.service import (
-    MappingService,
-    ServeSettings,
-    ServerThread,
-    build_service,
-    parse_config,
-    parse_request,
-    run_server,
-)
-
-__all__ = [
-    "TopologyCache",
-    "FaultPlan",
-    "corrupt_cache_dir",
-    "corrupt_npz_file",
-    "SupervisedPool",
-    "CircuitBreaker",
-    "RetryPolicy",
-    "LoadProfile",
-    "LoadReport",
-    "generate_load",
-    "run_load",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "BatchScheduler",
-    "DeadlineExceededError",
-    "GraphSpec",
-    "MapRequest",
-    "QueueFullError",
-    "ServedResult",
-    "MappingService",
-    "ServeSettings",
-    "ServerThread",
-    "build_service",
-    "parse_config",
-    "parse_request",
-    "run_server",
-]

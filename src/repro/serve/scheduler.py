@@ -72,6 +72,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.api.identity import array_fingerprint, canonical_json, cell_key
 from repro.api.pipeline import Pipeline, PipelineConfig, PipelineResult
 from repro.api.registry import REGISTRY, VERIFY
 from repro.errors import (
@@ -82,7 +83,6 @@ from repro.errors import (
     TransientError,
 )
 from repro.experiments.instances import generate_instance, instance_names
-from repro.experiments.store import canonical_json, cell_key
 from repro.graphs.builder import from_edges
 from repro.graphs.graph import _EXACT_LIMIT, Graph
 from repro.obs import get_tracer, profile_call
@@ -315,14 +315,7 @@ class MapRequest:
 
     def work_key(self) -> tuple:
         """Coalescing identity: requests with equal keys share one run."""
-        mu_tag = (
-            hashlib.sha256(
-                np.ascontiguousarray(self.mu, dtype=np.int64).tobytes()
-            ).hexdigest()[:16]
-            if self.mu is not None
-            else None
-        )
-        return (self.graph.cache_key(), self.seed, mu_tag)
+        return (self.graph.cache_key(), self.seed, array_fingerprint(self.mu))
 
 
 @dataclass

@@ -98,6 +98,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: streaming endless header lines must hit a 400, not grow the dict.
 MAX_HEADER_BYTES = 64 * 1024
 
+#: Largest ``config.nh`` a request may ask for.  A run's enhance time
+#: grows linearly in it, so an unbounded value computes until killed;
+#: the paper uses at most 50.
+MAX_HIERARCHIES = 1000
+
 
 def register_admission_hook(max_graph_n: int | None) -> str:
     """Register the admission verify hook for ``max_graph_n``; return its name.
@@ -147,6 +152,15 @@ def _wire_names(payload: dict, key: str) -> tuple[str, ...]:
     raise ReproError(f"config.{key} must be a list of strings, got {reprlib.repr(names)}")
 
 
+def _wire_str(payload: dict, *keys: str, default: str) -> str:
+    """The first of the alias ``keys`` present in ``payload``, checked to be a string."""
+    key = next((k for k in keys if k in payload), keys[0])
+    value = payload.get(key, default)
+    if isinstance(value, str):
+        return value
+    raise ReproError(f"config.{key} must be a string, got {reprlib.repr(value)}")
+
+
 def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> PipelineConfig:
     """Wire config dict -> :class:`PipelineConfig` (CLI flag spellings).
 
@@ -163,13 +177,17 @@ def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> Pipelin
         )
     nh_key = "nh" if "nh" in payload else "n_hierarchies"
     nh = wire_int(payload.get(nh_key, 8), f"config.{nh_key}")
-    strategy = str(payload.get("strategy", payload.get("swap_strategy", "greedy")))
+    if not 0 <= nh <= MAX_HIERARCHIES:
+        raise ReproError(
+            f"config.{nh_key} must be in [0, {MAX_HIERARCHIES}], got {reprlib.repr(nh)}"
+        )
+    strategy = _wire_str(payload, "strategy", "swap_strategy", default="greedy")
     return PipelineConfig(
-        partition=str(payload.get("partition", "kway")),
-        initial_mapping=str(payload.get("initial_mapping", payload.get("case", "c2"))),
-        enhance=str(payload.get("enhance", "timer")),
+        partition=_wire_str(payload, "partition", default="kway"),
+        initial_mapping=_wire_str(payload, "initial_mapping", "case", default="c2"),
+        enhance=_wire_str(payload, "enhance", default="timer"),
         epsilon=wire_float(payload.get("epsilon", 0.03), "config.epsilon"),
-        seed_policy=str(payload.get("seed_policy", "stream")),
+        seed_policy=_wire_str(payload, "seed_policy", default="stream"),
         timer=TimerConfig(n_hierarchies=nh, swap_strategy=strategy),
         pre_verify=(admission_hook,),
         post_verify=("mapping-valid",) + _wire_names(payload, "verify"),
@@ -177,7 +195,7 @@ def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> Pipelin
         # Note: backend is excluded from PipelineConfig.identity(), so
         # requests differing only in backend still share a batch group
         # and a response-cache cell (the backends are byte-identical).
-        backend=str(payload.get("backend", "")),
+        backend=_wire_str(payload, "backend", default=""),
     )
 
 
@@ -204,6 +222,9 @@ def parse_request(
         )
     if "topology" not in payload:
         raise ReproError("request needs a 'topology'")
+    topology = payload["topology"]
+    if not isinstance(topology, str):
+        raise ReproError(f"topology must be a string, got {reprlib.repr(topology)}")
     spec = GraphSpec.from_wire(payload.get("graph", {}))
     if max_graph_n is not None:
         approx_n = spec.n if spec.kind == "edges" else spec.n_max
@@ -233,7 +254,7 @@ def parse_request(
     if not isinstance(allow_degraded, bool):
         raise ReproError(f"allow_degraded must be a boolean, got {reprlib.repr(allow_degraded)}")
     return MapRequest(
-        topology=str(payload["topology"]),
+        topology=topology,
         graph=spec,
         config=parse_config(payload.get("config", {}), admission_hook),
         seed=seed,

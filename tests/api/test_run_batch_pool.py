@@ -1,6 +1,8 @@
-"""``Pipeline.run_batch(jobs>1)`` on the supervised pool: crash isolation
-and the import boundary between ``repro.api`` and ``repro.serve``."""
+"""``Pipeline.run_batch(jobs>1)`` on the supervised pool: crash isolation,
+and the import boundaries that keep ``repro.serve`` and the experiment
+harness out of ``repro.api``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -63,13 +65,12 @@ class TestWorkerDeath:
             )
 
 
-def test_importing_repro_api_loads_no_serve_module():
+def _modules_after(code):
+    """The ``repro`` modules a fresh interpreter holds after running ``code``."""
     src = str(Path(repro.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        "from repro.api import Pipeline, PipelineConfig\n"
-        "print(sorted(m for m in sys.modules"
-        " if m == 'repro.serve' or m.startswith('repro.serve.')))\n"
+    code += (
+        "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -80,4 +81,24 @@ def test_importing_repro_api_loads_no_serve_module():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def _within(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_importing_repro_api_loads_no_serve_module():
+    # The library resolves built-in topology names without the harness.
+    library = _modules_after(
+        "from repro.api import Pipeline, PipelineConfig, Topology\n"
+        "assert Topology.from_name('grid4x4').n == 16\n"
+    )
+    assert _within(library, "repro.serve") == []
+    assert _within(library, "repro.experiments") == []
+    # The server takes only the Table-1 instance generators from it.
+    server = _modules_after("import repro.serve.service\n")
+    assert _within(server, "repro.experiments") == [
+        "repro.experiments",
+        "repro.experiments.instances",
+    ]

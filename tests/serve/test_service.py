@@ -17,6 +17,7 @@ from repro.serve.loadgen import http_request_json
 from repro.serve.scheduler import BatchScheduler, GraphSpec
 from repro.serve.service import (
     ADMISSION_HOOK,
+    MAX_HIERARCHIES,
     MappingService,
     ServeSettings,
     ServerThread,
@@ -315,6 +316,32 @@ class TestWireFieldValidation:
         status, reply, _ = self._map(service, config=value)
         self._assert_rejected(reply, status, "config must be an object")
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "partition", "initial_mapping", "case", "enhance",
+            "seed_policy", "strategy", "swap_strategy", "backend",
+        ],
+    )
+    @pytest.mark.parametrize("value", [["kway"], None, 3])
+    def test_string_fields(self, service, key, value):
+        status, reply, _ = self._map(service, config={"nh": 1, key: value})
+        self._assert_rejected(reply, status, f"config.{key} must be a string")
+
+    @pytest.mark.parametrize("value", [["grid4x4"], None, 3])
+    def test_topology(self, service, value):
+        status, reply, _ = self._map(service, topology=value)
+        self._assert_rejected(reply, status, "topology must be a string")
+
+    @pytest.mark.parametrize("key", ["nh", "n_hierarchies"])
+    def test_nh_bound(self, key):
+        # Parsing only: a request past the bound must never start a compute.
+        request = parse_request(_map_body() | {"config": {key: MAX_HIERARCHIES}})
+        assert request.config.timer.n_hierarchies == MAX_HIERARCHIES
+        for nh in (MAX_HIERARCHIES + 1, 10**30, -1):
+            with pytest.raises(ReproError, match=f"^config.{key} must be in"):
+                parse_request(_map_body() | {"config": {key: nh}})
+
     # A 400 names the field but echoes only a bounded piece of the input.
 
     def _assert_short(self, status, reply, field):
@@ -335,9 +362,37 @@ class TestWireFieldValidation:
         status, reply, _ = self._map(service, graph=graph)
         self._assert_short(status, reply, "graph spec kind")
 
+    @pytest.mark.parametrize(
+        "key,named",
+        [
+            ("topology", "unknown topology"),
+            ("partition", "unknown partition"),
+            ("case", "unknown initial_mapping"),
+            ("enhance", "unknown enhance"),
+            ("strategy", "swap_strategy must be"),
+            ("seed_policy", "seed_policy must be"),
+            ("backend", "unknown kernel backend"),
+            ("verify", "unknown verify"),
+            ("report", "unknown report"),
+        ],
+    )
+    def test_huge_name_is_not_echoed(self, service, key, named):
+        huge = "x" * 1_000_000
+        if key == "topology":
+            fields = {"topology": huge}
+        else:
+            value = [huge] if key in ("verify", "report") else huge
+            fields = {"config": {"nh": 1, key: value}}
+        status, reply, _ = self._map(service, **fields)
+        self._assert_short(status, reply, named)
+
     def test_valid_values_keep_their_keys(self):
         base = parse_request(_map_body() | {"config": {"nh": 2}})
-        for config in ({"nh": 2.0}, {"nh": 2, "epsilon": 0.03}):
+        spelled_out = {
+            "nh": 2, "partition": "kway", "case": "c2", "enhance": "timer",
+            "seed_policy": "stream", "strategy": "greedy", "backend": "numpy",
+        }
+        for config in ({"nh": 2.0}, {"nh": 2, "epsilon": 0.03}, spelled_out):
             same = parse_request(
                 _map_body() | {"config": config, "allow_degraded": False}
             )
