@@ -7,9 +7,11 @@ social, citation, router, web) and approximate density, scaled down so a
 pure-Python pipeline completes the full factorial.
 
 ``scale`` controls the vertex count: ``n = clip(paper_n // divisor,
-n_min, n_max)``.  Every generated instance is reduced to its largest
-connected component (the paper itself uses e.g. the PGP giant component)
-and regenerated deterministically from ``(name, seed)``.
+n_min, n_max)``, which the R-MAT rows round up to a power of two.  Every
+generated instance is reduced to its largest connected component (the
+paper itself uses e.g. the PGP giant component) and regenerated
+deterministically from ``(name, seed)``; :func:`max_vertices` bounds the
+result's size without building it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class InstanceSpec:
     kind: str
     #: builder(n, rng) -> Graph
     builder: Callable[[int, np.random.Generator], Graph]
+    #: vertices(n) -> how many vertices builder(n, rng) makes
+    vertices: Callable[[int], int] = lambda n: n
 
 
 def _config_powerlaw(gamma: float, min_deg: int):
@@ -57,12 +61,20 @@ def _plc(m: int, p: float):
     return lambda n, rng: gen.powerlaw_cluster(n, m, p, seed=rng)
 
 
+def _rmat_scale(n: int) -> int:
+    """R-MAT's scale for ``n`` vertices: the least ``scale >= 1`` with ``2**scale >= n``."""
+    return max(1, int(np.ceil(np.log2(max(2, n)))))
+
+
 def _rmat(edge_factor: int, a: float = 0.57, b: float = 0.19, c: float = 0.19):
     def build(n: int, rng: np.random.Generator) -> Graph:
-        scale = max(1, int(np.ceil(np.log2(max(2, n)))))
-        return gen.rmat(scale, edge_factor, a=a, b=b, c=c, seed=rng)
+        return gen.rmat(_rmat_scale(n), edge_factor, a=a, b=b, c=c, seed=rng)
 
     return build
+
+
+def _rmat_vertices(n: int) -> int:
+    return 1 << _rmat_scale(n)
 
 
 def _ws(k: int, beta: float):
@@ -80,7 +92,7 @@ INSTANCES: tuple[InstanceSpec, ...] = (
     InstanceSpec("as-22july06", 22_963, 48_436, "internet routers",
                  _config_powerlaw(2.1, 1)),
     InstanceSpec("soc-Slashdot0902", 28_550, 379_445, "news network",
-                 _rmat(13)),
+                 _rmat(13), _rmat_vertices),
     InstanceSpec("loc-brightkite_edges", 56_739, 212_945, "location-based friendship",
                  _plc(4, 0.4)),
     InstanceSpec("loc-gowalla_edges", 196_591, 950_327, "location-based friendship",
@@ -90,11 +102,11 @@ INSTANCES: tuple[InstanceSpec, ...] = (
     InstanceSpec("coAuthorsCiteseer", 227_320, 814_134, "citation network",
                  _plc(4, 0.7)),
     InstanceSpec("wiki-Talk", 232_314, 1_458_806, "user interactions",
-                 _rmat(6, a=0.62, b=0.18, c=0.18)),
+                 _rmat(6, a=0.62, b=0.18, c=0.18), _rmat_vertices),
     InstanceSpec("coAuthorsDBLP", 299_067, 977_676, "citation network",
                  _plc(3, 0.7)),
     InstanceSpec("web-Google", 356_648, 2_093_324, "hyperlink network",
-                 _rmat(6, a=0.6, b=0.2, c=0.15)),
+                 _rmat(6, a=0.6, b=0.2, c=0.15), _rmat_vertices),
     InstanceSpec("coPapersCiteseer", 434_102, 16_036_720, "citation network",
                  _ba(8)),
     InstanceSpec("coPapersDBLP", 540_486, 15_245_729, "citation network",
@@ -131,6 +143,17 @@ def instance_fingerprint(name: str) -> str:
 def scaled_n(spec: InstanceSpec, divisor: int, n_min: int = 384, n_max: int = 4096) -> int:
     """Vertex budget for ``spec`` under a scale divisor."""
     return int(np.clip(spec.paper_n // divisor, n_min, n_max))
+
+
+def max_vertices(name: str, divisor: int = 64, n_min: int = 384, n_max: int = 4096) -> int:
+    """The most vertices :func:`generate_instance` can return for this sizing.
+
+    Its builder makes ``spec.vertices(scaled_n(...))`` vertices, which is
+    more than ``n_max`` on the R-MAT rows, and the largest component
+    keeps at most all of them.
+    """
+    spec = get_instance(name)
+    return spec.vertices(scaled_n(spec, divisor, n_min, n_max))
 
 
 def generate_instance(

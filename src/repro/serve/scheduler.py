@@ -74,7 +74,6 @@ import numpy as np
 
 from repro.api.identity import array_fingerprint, canonical_json, cell_key
 from repro.api.pipeline import Pipeline, PipelineConfig, PipelineResult
-from repro.api.registry import REGISTRY, VERIFY
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -82,7 +81,7 @@ from repro.errors import (
     ReproError,
     TransientError,
 )
-from repro.experiments.instances import generate_instance, instance_names
+from repro.experiments.instances import generate_instance, instance_names, max_vertices
 from repro.graphs.builder import from_edges
 from repro.graphs.graph import _EXACT_LIMIT, Graph
 from repro.obs import get_tracer, profile_call
@@ -236,6 +235,12 @@ class GraphSpec:
         return from_edges(
             self.n, [tuple(e) for e in self.edges], name=f"inline{self.n}"
         )
+
+    def max_vertices(self) -> int:
+        """The most vertices :meth:`build` can return, known without building."""
+        if self.kind == "generate":
+            return max_vertices(self.instance, self.divisor, self.n_min, self.n_max)
+        return self.n
 
     def cache_key(self) -> str:
         if self.kind == "generate":
@@ -392,37 +397,6 @@ def _pool_run(pipe: Pipeline, item) -> tuple[PipelineResult, list]:
     return result, spans
 
 
-class _PoolPayload:
-    """A pipeline as a pool payload: admission hooks first, then the rebuild.
-
-    A worker forked before its service registered ``serve-admissible-N``,
-    or started with ``spawn``, lacks that verify hook, and rebuilding the
-    pipeline fails on the unknown name.  Unpickling this payload registers
-    each admission hook the config names that the worker lacks, then
-    rebuilds the pipeline.
-    """
-
-    __slots__ = ("pipe",)
-
-    def __init__(self, pipe: Pipeline) -> None:
-        self.pipe = pipe
-
-    def __reduce__(self) -> tuple:
-        rebuild, args = self.pipe.__reduce__()
-        return _rebuild_admitting, (self.pipe.config.pre_verify, rebuild, args)
-
-
-def _rebuild_admitting(verify_names, rebuild, args) -> Pipeline:
-    # Imported here: the service module imports this one.
-    from repro.serve.service import ADMISSION_HOOK, register_admission_hook
-
-    for name in verify_names:
-        limit = name.removeprefix(f"{ADMISSION_HOOK}-")
-        if limit != name and limit.isdigit() and (VERIFY, name) not in REGISTRY:
-            register_admission_hook(int(limit))
-    return rebuild(*args)
-
-
 # ----------------------------------------------------------------------
 # Scheduler
 # ----------------------------------------------------------------------
@@ -448,8 +422,8 @@ class BatchScheduler:
     max_pipelines:
         LRU bound on cached per-group pipelines (group keys embed
         client-supplied config values, so the cache must not trust
-        clients to keep the key space small).  Pool workers drop an
-        evicted group's pipeline too.
+        clients to keep the key space small).  An evicted group's
+        compute EWMA goes with it, and pool workers drop its pipeline.
     retry:
         :class:`RetryPolicy` for transient per-item failures.
     breaker_threshold / breaker_reset_s:
@@ -630,13 +604,16 @@ class BatchScheduler:
         return pipe
 
     def _forget_evicted(self, gkey: str) -> None:
-        """Make pool workers drop a pipeline the LRU no longer holds.
+        """Drop a group's compute EWMA and pool payload once the LRU evicts it.
 
         Called on eviction, and again when a dispatch finishes: a batch
-        already in flight when its key was evicted ships the payload
-        after the first drop.
+        already in flight when its key was evicted records its EWMA, and
+        ships its payload, after the first drop.
         """
-        if self._pool is not None and gkey not in self._pipelines:
+        if gkey in self._pipelines:
+            return
+        self._compute_ewma.pop(gkey, None)
+        if self._pool is not None:
             self._pool.forget(gkey)
 
     def breaker_for(self, gkey: str) -> CircuitBreaker:
@@ -925,7 +902,7 @@ class BatchScheduler:
             # worker, which keeps its pipelines warm.
             pin = pinned_worker(reqs[0].topology, self.workers)
             futures = self._pool.submit(
-                gkey, _PoolPayload(pipe), items, worker=pin
+                gkey, pipe, items, worker=pin
             )
             outcomes = []
             for future in futures:
@@ -1151,8 +1128,8 @@ class BatchScheduler:
                             ),
                         ),
                     )
+        self._forget_evicted(gkey)
         if self._pool is not None:
-            self._forget_evicted(gkey)
             stats = self._pool.stats()
             self._m_worker_restarts.set(stats["restarts"])
             self._m_poisoned.set(stats["poisoned"])

@@ -19,12 +19,15 @@ The stdio mode (``repro serve --stdio``) speaks the same request bodies
 as newline-delimited JSON with an ``op`` field, for embedding the
 service under a supervisor or over SSH without opening a port.
 
-Server-side request validation is hook-based: the service registers the
-``serve-admissible`` verify hook (graph-size admission limit) in the
-unified registry and prepends it to every request's ``pre_verify``
-chain, alongside a parse-time fast check so oversized inline graphs are
-rejected before they are ever built.  The standard ``mapping-valid``
-hook runs post-run on every served result.
+Every request is validated when it is parsed, before the scheduler
+admits it: each op's body must be a JSON object, and every field is
+checked, never coerced, so a bad value answers 400 naming the field.
+The graph-size limit (``--max-n``) is one of these checks:
+:func:`parse_request` refuses any spec whose graph could exceed it, by
+:meth:`GraphSpec.max_vertices` (an ``edges`` spec's ``n``; for a
+``generate`` spec, the vertices its instance's builder makes), so an
+oversized graph is never built, in-process or on a pool worker.  The
+standard ``mapping-valid`` hook runs post-run on every served result.
 """
 
 from __future__ import annotations
@@ -45,12 +48,11 @@ from repro.obs import configure_tracer, get_logger
 from repro.obs.trace import WIRE_KEY, SpanContext
 
 from repro.api.pipeline import PipelineConfig
-from repro.api.registry import REGISTRY, TOPOLOGY, VERIFY
+from repro.api.registry import REGISTRY, TOPOLOGY
 from repro.core.backend import get_backend, set_default_backend
 from repro.core.config import TimerConfig
 from repro.errors import (
     CircuitOpenError,
-    MappingError,
     PermanentError,
     ReproError,
     TransientError,
@@ -69,14 +71,6 @@ from repro.serve.scheduler import (
     wire_float,
     wire_int,
 )
-
-#: Registry-name prefix of the server-side admission verify hook.  The
-#: unsuffixed name is the no-limit hook; a service with ``--max-n N``
-#: registers (and references in its configs) ``serve-admissible-N``, so
-#: the name *encodes* the limit: two services in one process can hold
-#: different limits without clobbering each other's registration, and
-#: re-registering the same name is idempotent.
-ADMISSION_HOOK = "serve-admissible"
 
 _STATUS_TEXT = {
     200: "OK",
@@ -102,37 +96,6 @@ MAX_HEADER_BYTES = 64 * 1024
 #: grows linearly in it, so an unbounded value computes until killed;
 #: the paper uses at most 50.
 MAX_HIERARCHIES = 1000
-
-
-def register_admission_hook(max_graph_n: int | None) -> str:
-    """Register the admission verify hook for ``max_graph_n``; return its name.
-
-    The hook enforces the service's graph-size admission limit *inside*
-    the pipeline, so it also covers library users who borrow the served
-    config; the service additionally rejects oversized specs at parse
-    time to keep a poisoned request from failing its batch neighbors.
-    The registered name encodes the limit (see :data:`ADMISSION_HOOK`),
-    keeping the name -> behavior mapping deterministic however many
-    services a process hosts.
-    """
-    name = (
-        ADMISSION_HOOK if max_graph_n is None
-        else f"{ADMISSION_HOOK}-{int(max_graph_n)}"
-    )
-
-    def hook(ctx) -> None:
-        if max_graph_n is not None and ctx.ga.n > max_graph_n:
-            raise MappingError(
-                f"graph has {ctx.ga.n} vertices; this server admits at "
-                f"most {max_graph_n}"
-            )
-
-    # repro: allow[REG001] reason=admission limits are per-ServeSettings, so the hook can only exist once a service is configured; the name encodes the limit and overwrite=True keeps re-registration idempotent
-    REGISTRY.register(VERIFY, name, hook, overwrite=True)
-    return name
-
-
-register_admission_hook(None)
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +124,26 @@ def _wire_str(payload: dict, *keys: str, default: str) -> str:
     raise ReproError(f"config.{key} must be a string, got {reprlib.repr(value)}")
 
 
-def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> PipelineConfig:
+def _require_object(payload) -> None:
+    if not isinstance(payload, dict):
+        raise ReproError(
+            f"request body must be a JSON object, got {reprlib.repr(payload)}"
+        )
+
+
+def _count_param(payload: dict, key: str, default: int) -> int:
+    count = wire_int(payload.get(key, default), key)
+    if count < 0:
+        raise ReproError(f"{key} must be >= 0, got {count}")
+    return count
+
+
+def parse_config(payload: dict) -> PipelineConfig:
     """Wire config dict -> :class:`PipelineConfig` (CLI flag spellings).
 
-    The parsed config always carries the server's verify chain: the
-    admission hook pre-run and ``mapping-valid`` (plus any requested
-    hooks) post-run.  Values are checked, never coerced.
+    The parsed config always carries the server's post-run verify chain:
+    ``mapping-valid`` plus any requested hooks.  Values are checked,
+    never coerced.
     """
     if not isinstance(payload, dict):
         raise ReproError(f"config must be an object, got {reprlib.repr(payload)}")
@@ -189,7 +166,6 @@ def parse_config(payload: dict, admission_hook: str = ADMISSION_HOOK) -> Pipelin
         epsilon=wire_float(payload.get("epsilon", 0.03), "config.epsilon"),
         seed_policy=_wire_str(payload, "seed_policy", default="stream"),
         timer=TimerConfig(n_hierarchies=nh, swap_strategy=strategy),
-        pre_verify=(admission_hook,),
         post_verify=("mapping-valid",) + _wire_names(payload, "verify"),
         reports=_wire_names(payload, "report"),
         # Note: backend is excluded from PipelineConfig.identity(), so
@@ -204,13 +180,13 @@ def parse_request(
     *,
     require_mu: bool = False,
     max_graph_n: int | None = None,
-    admission_hook: str = ADMISSION_HOOK,
 ) -> MapRequest:
-    """One wire body -> a validated :class:`MapRequest` (raises ReproError)."""
-    if not isinstance(payload, dict):
-        raise ReproError(
-            f"request body must be a JSON object, got {reprlib.repr(payload)}"
-        )
+    """One wire body -> a validated :class:`MapRequest` (raises ReproError).
+
+    ``max_graph_n`` is the server's graph-size limit: a spec whose graph
+    could exceed it is refused here, before its graph is ever built.
+    """
+    _require_object(payload)
     known = {
         "topology", "graph", "config", "seed", "mu", "deadline_s",
         "allow_degraded", "op", "id", "trace",
@@ -226,13 +202,11 @@ def parse_request(
     if not isinstance(topology, str):
         raise ReproError(f"topology must be a string, got {reprlib.repr(topology)}")
     spec = GraphSpec.from_wire(payload.get("graph", {}))
-    if max_graph_n is not None:
-        approx_n = spec.n if spec.kind == "edges" else spec.n_max
-        if approx_n is not None and approx_n > max_graph_n:
-            raise ReproError(
-                f"graph spec allows {approx_n} vertices; this server admits "
-                f"at most {max_graph_n}"
-            )
+    if max_graph_n is not None and spec.max_vertices() > max_graph_n:
+        raise ReproError(
+            f"graph spec allows {spec.max_vertices()} vertices; this server "
+            f"admits at most {max_graph_n}"
+        )
     seed = payload.get("seed")
     if seed is not None:
         seed = wire_int(seed, "seed")
@@ -256,7 +230,7 @@ def parse_request(
     return MapRequest(
         topology=topology,
         graph=spec,
-        config=parse_config(payload.get("config", {}), admission_hook),
+        config=parse_config(payload.get("config", {})),
         seed=seed,
         mu=mu,
         deadline_s=deadline_s,
@@ -280,7 +254,6 @@ class MappingService:
         self.metrics = scheduler.metrics
         self.tracer = scheduler.tracer
         self.max_graph_n = max_graph_n
-        self.admission_hook = register_admission_hook(max_graph_n)
         self._m_responses = self.metrics.counter(
             "responses_total", "responses sent, by status code"
         )
@@ -289,10 +262,15 @@ class MappingService:
     async def handle(self, op: str, payload: dict) -> tuple[int, dict | str, dict]:
         """Dispatch one operation -> ``(status, body, extra_headers)``."""
         try:
+            _require_object(payload)
             if op == "healthz":
                 return 200, self._healthz(), {}
             if op == "metrics":
-                fmt = (payload or {}).get("format", "text")
+                fmt = payload.get("format", "text")
+                if fmt not in ("text", "json"):
+                    raise ReproError(
+                        f"format must be 'text' or 'json', got {reprlib.repr(fmt)}"
+                    )
                 extra = self._metrics_extra()
                 if fmt == "json":
                     return 200, self.metrics.render_json(extra=extra), {}
@@ -303,7 +281,6 @@ class MappingService:
                         payload,
                         require_mu=(op == "enhance"),
                         max_graph_n=self.max_graph_n,
-                        admission_hook=self.admission_hook,
                     )
                     request.trace = span.context
                     served = await self.scheduler.submit(request)
@@ -312,10 +289,9 @@ class MappingService:
             if op == "batch":
                 return await self._handle_batch(payload)
             if op == "traces":
-                q = payload or {}
                 snapshot = self.tracer.debug_snapshot(
-                    recent=int(q.get("recent", 20)),
-                    slowest=int(q.get("slowest", 5)),
+                    recent=_count_param(payload, "recent", 20),
+                    slowest=_count_param(payload, "slowest", 5),
                 )
                 return 200, snapshot, {}
             return 404, {"ok": False, "error": "not_found",
@@ -367,22 +343,18 @@ class MappingService:
         client hint ``{"trace": {"sample": false}}`` opts the request
         out of trace retention (the loadgen ``--trace-sample`` knob).
         """
-        raw = payload.get(WIRE_KEY) if isinstance(payload, dict) else None
+        raw = payload.get(WIRE_KEY)
         ctx = SpanContext.from_wire(raw)
         if ctx is None:
             sampled = True
             if isinstance(raw, dict):
                 sampled = bool(raw.get("sample", True))
-            base = (
-                {k: v for k, v in payload.items() if k != WIRE_KEY}
-                if isinstance(payload, dict)
-                else payload
-            )
+            base = {k: v for k, v in payload.items() if k != WIRE_KEY}
             ctx = self.tracer.start_trace(base, sampled=sampled)
         return self.tracer.span("handle", ctx, op=op)
 
     async def _handle_batch(self, payload: dict) -> tuple[int, dict, dict]:
-        requests = (payload or {}).get("requests")
+        requests = payload.get("requests")
         if not isinstance(requests, list) or not requests:
             raise ReproError("batch body needs a non-empty 'requests' list")
         if not all(isinstance(item, dict) for item in requests):
@@ -538,6 +510,20 @@ def _http_response(
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
 
 
+def _query_params(query: str) -> dict:
+    """A URL query -> its parameters, decimal digits read as the integer they spell."""
+    params = {}
+    for key, values in parse_qs(query).items():
+        value = values[0]
+        if value.isascii() and value.isdigit():
+            try:
+                value = int(value)
+            except ValueError:  # past int()'s digit limit: refused as a string
+                pass
+        params[key] = value
+    return params
+
+
 async def handle_http_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -574,9 +560,9 @@ async def handle_http_connection(
                         "ok": False, "error": "bad_request",
                         "message": f"invalid JSON body: {exc}"}, {}
                 if op is not None:
-                    query = {k: v[0] for k, v in parse_qs(url.query).items()}
-                    if op in ("metrics", "traces") and query:
-                        payload = {**(payload or {}), **query}
+                    query = _query_params(url.query)
+                    if op in ("metrics", "traces") and query and isinstance(payload, dict):
+                        payload = {**payload, **query}
                     status, body, extra = await service.handle(op, payload)
             service.record_response(status)
             writer.write(_http_response(status, body, extra))
@@ -757,9 +743,6 @@ def build_service(settings: ServeSettings) -> MappingService:
         enabled=settings.trace,
         max_traces=settings.trace_buffer,
     )
-    # Pool workers fork when the scheduler starts and resolve the hook by
-    # name, so it must be registered before then.
-    register_admission_hook(settings.max_graph_n)
     scheduler = BatchScheduler(
         max_batch=settings.max_batch,
         max_queue=settings.max_queue,

@@ -8,6 +8,7 @@ from repro.experiments.instances import (
     generate_instance,
     get_instance,
     instance_names,
+    max_vertices,
     scaled_n,
 )
 from repro.experiments.topologies import (
@@ -19,6 +20,7 @@ from repro.experiments.topologies import (
 )
 from repro.graphs.algorithms import is_connected
 from repro.partialcube.verify import verify_labeling
+from repro.utils.rng import make_rng
 
 
 class TestTopologies:
@@ -115,6 +117,16 @@ class TestInstances:
         assert scaled_n(spec, divisor=1, n_max=1000) == 1000
         assert scaled_n(spec, divisor=10**6, n_min=384) == 384
 
+    @pytest.mark.parametrize("spec", INSTANCES, ids=lambda spec: spec.name)
+    def test_vertices_counts_what_the_builder_makes(self, spec):
+        for n in (100, 128, 129):
+            assert spec.builder(n, make_rng(0)).n == spec.vertices(n)
+
+    def test_max_vertices(self):
+        # R-MAT rounds its budget up to a power of two; the others keep it.
+        assert max_vertices("soc-Slashdot0902", divisor=1, n_min=129, n_max=129) == 256
+        assert max_vertices("p2p-Gnutella", divisor=1024, n_min=128, n_max=192) == 128
+
     @pytest.mark.parametrize("name", ["p2p-Gnutella", "citationCiteseer", "web-Google"])
     def test_generation_connected_named(self, name):
         g = generate_instance(name, seed=1, divisor=128)
@@ -134,6 +146,7 @@ class TestInstances:
 
     def test_all_instances_generate_small(self):
         for spec in INSTANCES:
-            g = generate_instance(spec.name, seed=3, divisor=1024, n_min=128, n_max=256)
-            assert g.n > 32, spec.name
+            sizing = {"divisor": 1024, "n_min": 128, "n_max": 256}
+            g = generate_instance(spec.name, seed=3, **sizing)
+            assert 32 < g.n <= max_vertices(spec.name, **sizing), spec.name
             assert is_connected(g), spec.name

@@ -12,7 +12,7 @@ from repro.serve.loadgen import (
     run_load,
 )
 from repro.serve.scheduler import BatchScheduler
-from repro.serve.service import MappingService, register_admission_hook
+from repro.serve.service import MappingService
 
 
 class TestPlanDeterminism:
@@ -75,7 +75,6 @@ class TestEndToEnd:
             report = asyncio.run(run_load(profile, service=service))
         finally:
             scheduler.close()
-            register_admission_hook(None)
         assert report.requests == 10
         assert report.ok == 10 and not report.errors
         assert report.throughput_rps > 0
@@ -100,7 +99,6 @@ class TestEndToEnd:
             replay = asyncio.run(run_load(profile, service=service))
         finally:
             scheduler.close()
-            register_admission_hook(None)
         overall = first.latency_summary["overall"]
         assert overall["count"] == 12
         assert set(overall) == {"count", "mean", "max", "p50", "p95", "p99"}
@@ -192,5 +190,4 @@ class TestTrafficKnobs:
             report = asyncio.run(run_load(profile, service=service))
         finally:
             scheduler.close()
-            register_admission_hook(None)
         assert report.ok == report.requests == 14 and not report.errors

@@ -445,6 +445,36 @@ class TestDispatch:
 
         run(go())
 
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_compute_ewma_is_bounded(self, concurrent):
+        # Group keys embed client-chosen epsilons; the per-group compute
+        # EWMA must go when the pipeline LRU evicts the group.
+        requests = [
+            MapRequest(
+                topology="grid4x4",
+                graph=GraphSpec(kind="generate", seed=0),
+                config=parse_config({"nh": 0, "epsilon": 0.03 + i / 100}),
+                seed=0,
+            )
+            for i in range(5)
+        ]
+
+        async def go():
+            scheduler = BatchScheduler(max_pipelines=2)
+            try:
+                if concurrent:
+                    await asyncio.gather(*(scheduler.submit(r) for r in requests))
+                else:
+                    for r in requests:
+                        await scheduler.submit(r)
+                await scheduler.drain()
+                assert 1 <= len(scheduler._compute_ewma) <= 2
+                assert set(scheduler._compute_ewma) <= set(scheduler._pipelines)
+            finally:
+                scheduler.close()
+
+        run(go())
+
     def test_groups_split_by_topology_and_config(self):
         async def go():
             scheduler = BatchScheduler(max_batch=8)

@@ -8,23 +8,18 @@ import numpy as np
 import pytest
 
 from repro.api.pipeline import Pipeline
-from repro.api.registry import REGISTRY, VERIFY
-from repro.api.stages import StageContext
-from repro.api.topology import Topology
-from repro.errors import MappingError, ReproError
+from repro.errors import ReproError
 from repro.graphs import generators as gen
+from repro.obs.trace import Tracer
 from repro.serve.loadgen import http_request_json
 from repro.serve.scheduler import BatchScheduler, GraphSpec
 from repro.serve.service import (
-    ADMISSION_HOOK,
     MAX_HIERARCHIES,
     MappingService,
     ServeSettings,
     ServerThread,
-    build_service,
     parse_config,
     parse_request,
-    register_admission_hook,
     serve_stdio,
 )
 
@@ -35,7 +30,6 @@ def service():
     svc = MappingService(scheduler)
     yield svc
     scheduler.close()
-    register_admission_hook(None)
 
 
 def _map_body(seed=0, **extra):
@@ -77,7 +71,7 @@ class TestParsing:
 
     def test_size_limit_applies_at_parse_time(self):
         with pytest.raises(ReproError, match="admits at most"):
-            parse_request(_map_body(), max_graph_n=50)  # spec n_max=192
+            parse_request(_map_body(), max_graph_n=50)  # builds up to 128
 
     @pytest.mark.parametrize("mu", [7, 1.5, True, "0123", {"0": 0}])
     def test_mu_that_is_not_an_array(self, mu):
@@ -119,7 +113,7 @@ class TestParsing:
         assert cfg.initial_mapping == "c3"
         assert cfg.timer.n_hierarchies == 4
         assert cfg.timer.swap_strategy == "kl"
-        assert cfg.pre_verify == (ADMISSION_HOOK,)
+        assert cfg.pre_verify == ()
         assert "mapping-valid" in cfg.post_verify
 
 
@@ -534,108 +528,138 @@ class TestOps:
         assert item["status"] == "ok"  # healthz's own field intact
 
 
-class TestAdmissionHook:
-    def test_hook_registered_and_enforces_limit(self):
-        scheduler = BatchScheduler()
-        try:
-            svc = MappingService(scheduler, max_graph_n=10)
-            assert svc.admission_hook == f"{ADMISSION_HOOK}-10"
-            hook = REGISTRY.get(VERIFY, svc.admission_hook)
-            ctx = StageContext(
-                ga=gen.grid(4, 4), topology=Topology.from_name("grid4x4")
-            )
-            with pytest.raises(MappingError, match="admits at most"):
-                hook(ctx)
-        finally:
-            scheduler.close()
-            register_admission_hook(None)
+class TestGraphSizeLimit:
+    """``max_graph_n`` is checked once, when a request is parsed."""
 
-    def test_two_services_keep_distinct_limits(self):
-        """The hook name encodes the limit: no cross-service clobbering."""
-        s1, s2 = BatchScheduler(), BatchScheduler()
-        try:
-            a = MappingService(s1, max_graph_n=10)
-            b = MappingService(s2)  # no limit
-            assert a.admission_hook != b.admission_hook
-            ctx = StageContext(
-                ga=gen.grid(4, 4), topology=Topology.from_name("grid4x4")
-            )
-            REGISTRY.get(VERIFY, b.admission_hook)(ctx)  # no-op
-            with pytest.raises(MappingError):
-                REGISTRY.get(VERIFY, a.admission_hook)(ctx)  # still 10
-        finally:
-            s1.close()
-            s2.close()
-            register_admission_hook(None)
+    LIMIT = 128  # the most vertices the default generate spec builds
 
     @staticmethod
-    def _assert_limit_served(svc, limit):
-        """A small /map matches a direct run; an oversized one gets 400."""
-        body = _map_body(seed=5)
-        status, reply, _ = asyncio.run(svc.handle("map", body))
-        assert status == 200, reply
-        request = parse_request(body, admission_hook=svc.admission_hook)
-        direct = Pipeline(request.topology, request.config).run(
-            request.graph.build(), seed=request.seed
-        )
-        assert reply["mu"] == [int(x) for x in direct.mu_final]
-        assert reply["identity_hash"] == direct.identity_hash
-        big = _map_body(seed=5)
-        big["graph"]["n_max"] = limit + 1
-        status, reply, _ = asyncio.run(svc.handle("map", big))
-        assert status == 400
-        assert "admits at most" in reply["message"]
+    def _oversized(limit):
+        generate = _map_body(seed=5)
+        generate["graph"] |= {"n_min": limit + 1, "n_max": limit + 1}
+        edges = _map_body(seed=5) | {
+            "graph": {"kind": "edges", "n": limit + 1, "edges": [[0, 1]]}
+        }
+        return generate, edges
 
-    def test_limit_resolves_in_pool_workers(self):
-        # Pool workers fork when the scheduler starts and look the
-        # suffixed hook up by name, so it must exist before they do.
-        svc = build_service(ServeSettings(workers=1, max_graph_n=500))
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_oversized_spec_rejected_before_admission(self, workers):
+        svc = MappingService(BatchScheduler(workers=workers), max_graph_n=self.LIMIT)
         try:
-            self._assert_limit_served(svc, 500)
+            for body in self._oversized(self.LIMIT):
+                status, reply, _ = asyncio.run(svc.handle("map", body))
+                assert status == 400 and reply["error"] == "bad_request"
+                assert f"admits at most {self.LIMIT}" in reply["message"]
+            assert svc.metrics.render_json()["requests_total"] == 0
         finally:
             svc.scheduler.close()
-            register_admission_hook(None)
 
-    @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_limit_resolves_when_pool_starts_first(self, start, monkeypatch):
-        """Library order: the pool starts before the service registers.
+    @pytest.mark.parametrize("instance", ["soc-Slashdot0902", "wiki-Talk", "web-Google"])
+    def test_rmat_spec_bounded_past_n_max(self, instance):
+        """R-MAT rounds its budget up to a power of two: 129 becomes 256."""
+        graph = {"kind": "generate", "instance": instance, "seed": 0,
+                 "divisor": 1, "n_min": 129, "n_max": 129}
+        assert GraphSpec.from_wire(graph).build().n > 129
+        svc = MappingService(BatchScheduler(), max_graph_n=129)
+        try:
+            status, reply, _ = asyncio.run(svc.handle("map", _map_body() | {"graph": graph}))
+        finally:
+            svc.scheduler.close()
+        assert status == 400
+        assert "allows 256 vertices; this server admits at most 129" in reply["message"]
+        assert svc.metrics.render_json()["requests_total"] == 0
 
-        Forked workers miss the hook registered after them, and spawned
-        workers import a fresh registry; each registers the name on
-        demand before it rebuilds the pipeline.
-        """
-        if start == "spawn":
+    @pytest.mark.parametrize(
+        "workers,start", [(0, None), (1, "fork"), (1, "spawn")],
+        ids=["in-process", "fork", "spawn"],
+    )
+    def test_served_reply_matches_a_direct_run(self, workers, start, monkeypatch):
+        if start is not None:
             import multiprocessing as mp
 
             import repro.serve.pool as pool_mod
 
             monkeypatch.setattr(
-                pool_mod, "preferred_mp_context", lambda: mp.get_context("spawn")
+                pool_mod, "preferred_mp_context", lambda: mp.get_context(start)
             )
-        limit = 499
-        name = f"{ADMISSION_HOOK}-{limit}"
-        REGISTRY.unregister(VERIFY, name)  # no earlier test may leak it
-        scheduler = BatchScheduler(workers=1)
+        svc = MappingService(BatchScheduler(workers=workers), max_graph_n=self.LIMIT)
+        body = _map_body(seed=5)
         try:
-            svc = MappingService(scheduler, max_graph_n=limit)
-            assert svc.admission_hook == name
-            self._assert_limit_served(svc, limit)
+            status, reply, _ = asyncio.run(svc.handle("map", body))
         finally:
-            scheduler.close()
-            REGISTRY.unregister(VERIFY, name)
-            register_admission_hook(None)
+            svc.scheduler.close()
+        assert status == 200, reply
+        request = parse_request(body)
+        assert request.config.pre_verify == ()
+        direct = Pipeline(request.topology, request.config).run(
+            request.graph.build(), seed=request.seed
+        )
+        assert reply["mu"] == [int(x) for x in direct.mu_final]
+        assert reply["identity_hash"] == direct.identity_hash
 
-    def test_oversized_request_rejected_before_compute(self):
-        scheduler = BatchScheduler()
+    def test_two_services_keep_their_own_limits(self):
+        small = MappingService(BatchScheduler(), max_graph_n=self.LIMIT - 1)
+        large = MappingService(BatchScheduler(), max_graph_n=self.LIMIT)
+        body = _map_body(seed=5)  # n_max 192, but it builds at most 128
         try:
-            svc = MappingService(scheduler, max_graph_n=50)
-            status, reply, _ = asyncio.run(svc.handle("map", _map_body()))
+            status, reply, _ = asyncio.run(small.handle("map", body))
             assert status == 400
-            assert "admits at most" in reply["message"]
-            assert scheduler.metrics.render_json()["requests_total"] == 0
+            assert f"admits at most {self.LIMIT - 1}" in reply["message"]
+            status, reply, _ = asyncio.run(large.handle("map", body))
+            assert status == 200, reply
+            status, reply, _ = asyncio.run(small.handle("map", body))
+            assert status == 400
         finally:
-            scheduler.close()
-            register_admission_hook(None)
+            small.scheduler.close()
+            large.scheduler.close()
+
+
+class TestNonObjectBodies:
+    """Every op's body must be a JSON object; anything else answers 400."""
+
+    @pytest.mark.parametrize(
+        "op", ["map", "enhance", "batch", "healthz", "metrics", "traces"]
+    )
+    @pytest.mark.parametrize("body", [[1], None, "x", 5])
+    def test_handle(self, service, op, body):
+        status, reply, _ = asyncio.run(service.handle(op, body))
+        assert status == 400 and reply["error"] == "bad_request"
+        assert reply["message"].startswith("request body must be a JSON object")
+
+
+class TestDebugParameters:
+    """``traces`` counts and the ``metrics`` format are checked, never coerced."""
+
+    @pytest.mark.parametrize("field", ["recent", "slowest"])
+    @pytest.mark.parametrize(
+        "value",
+        [None, 2.7, -3, [1], True, "x", "3", "-3", "2.5",
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_bad_trace_count(self, service, field, value):
+        status, reply, _ = asyncio.run(service.handle("traces", {field: value}))
+        assert status == 400 and reply["error"] == "bad_request"
+        assert reply["message"].startswith(f"{field} must be")
+        assert len(reply["message"]) < 1024
+
+    @pytest.mark.parametrize("value", [0, 1, 2.0])
+    def test_trace_count(self, value):
+        svc = MappingService(BatchScheduler(tracer=Tracer(process="serve")))
+        try:
+            asyncio.run(svc.handle("map", _map_body()))
+            status, reply, _ = asyncio.run(
+                svc.handle("traces", {"recent": value, "slowest": value})
+            )
+        finally:
+            svc.scheduler.close()
+        assert status == 200
+        assert len(reply["recent"]) == len(reply["slowest"]) == min(int(value), 1)
+
+    @pytest.mark.parametrize("fmt", [["json"], "xml", "JSON", None, 1])
+    def test_bad_metrics_format(self, service, fmt):
+        status, reply, _ = asyncio.run(service.handle("metrics", {"format": fmt}))
+        assert status == 400 and reply["error"] == "bad_request"
+        assert reply["message"].startswith("format must be 'text' or 'json'")
 
 
 class TestHTTP:
@@ -645,7 +669,6 @@ class TestHTTP:
             ServeSettings(port=0, max_batch=8)
         ) as srv:
             yield srv
-        register_admission_hook(None)
 
     def _call(self, server, method, path, body=None):
         return asyncio.run(
@@ -671,35 +694,15 @@ class TestHTTP:
         status, reply = self._call(server, "GET", "/map")
         assert status == 405
 
-    def test_invalid_json_400(self, server):
+    @staticmethod
+    def _send(server, target, body):
+        """One raw ``target`` request with ``body``; the whole reply bytes."""
         async def go():
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )
             writer.write(
-                b"POST /map HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
-                b"Content-Length: 9\r\n\r\nnot json!"
-            )
-            await writer.drain()
-            data = await reader.read()
-            writer.close()
-            return data
-
-        raw = asyncio.run(go())
-        assert b"400" in raw.split(b"\r\n", 1)[0]
-        assert b"invalid JSON" in raw
-
-    @pytest.mark.parametrize(
-        "body", [b"[" * 200_000, b'{"topology": "\xff"}'],
-        ids=["deep-nesting", "invalid-utf8"],
-    )
-    def test_undecodable_body_400(self, server, body):
-        async def go():
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-            writer.write(
-                b"POST /map HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                target + b" HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
                 b"Content-Length: %d\r\n\r\n" % len(body) + body
             )
             await writer.drain()
@@ -707,9 +710,46 @@ class TestHTTP:
             writer.close()
             return data
 
+        return asyncio.run(go())
+
+    def test_invalid_json_400(self, server):
+        raw = self._send(server, b"POST /map", b"not json!")
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"invalid JSON" in raw
+
+    @pytest.mark.parametrize(
+        "target",
+        [b"GET /debug/traces?recent=2", b"GET /metrics?format=json", b"POST /batch"],
+    )
+    def test_non_object_body_400(self, server, target):
+        raw = self._send(server, target, b"[1]")
+        assert raw.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"request body must be a JSON object" in raw
+
+    @pytest.mark.parametrize(
+        "query,field",
+        [("recent=-1", "recent"), ("recent=2.5", "recent"), ("slowest=x", "slowest"),
+         ("recent=%202", "recent"), ("slowest=" + "9" * 5000, "slowest")],
+        ids=["negative", "fraction", "word", "space", "5000-digits"],
+    )
+    def test_bad_trace_query_400(self, server, query, field):
+        status, reply = self._call(server, "GET", f"/debug/traces?{query}")
+        assert status == 400 and reply["message"].startswith(f"{field} must be")
+        status, reply = self._call(server, "GET", "/debug/traces?recent=2&slowest=0")
+        assert status == 200 and reply["slowest"] == []
+
+    def test_bad_metrics_format_400(self, server):
+        status, reply = self._call(server, "GET", "/metrics?format=xml")
+        assert status == 400 and reply["message"].startswith("format must be")
+
+    @pytest.mark.parametrize(
+        "body", [b"[" * 200_000, b'{"topology": "\xff"}'],
+        ids=["deep-nesting", "invalid-utf8"],
+    )
+    def test_undecodable_body_400(self, server, body):
         responses = server.service.metrics.counter("responses_total")
         before = responses.labels().get("400", 0)
-        raw = asyncio.run(go())
+        raw = self._send(server, b"POST /map", body)
         assert b"400" in raw.split(b"\r\n", 1)[0]
         assert b"invalid JSON" in raw
         assert responses.labels()["400"] == before + 1

@@ -64,7 +64,7 @@ class TestServiceTracing:
         try:
             asyncio.run(service.handle("map", _map_body()))
             status, snap, _ = asyncio.run(
-                service.handle("traces", {"recent": "5", "slowest": "2"})
+                service.handle("traces", {"recent": 5, "slowest": 2})
             )
             assert status == 200
             assert snap["process"] == "serve"
