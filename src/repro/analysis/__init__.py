@@ -9,27 +9,3 @@ syntax.
 
 Run it as ``python -m repro.analysis [paths...]`` or ``repro lint``.
 """
-
-from repro.analysis.engine import (
-    Finding,
-    Report,
-    Rule,
-    lint_file,
-    lint_paths,
-    lint_source,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import default_rules
-
-__all__ = [
-    "Finding",
-    "Report",
-    "Rule",
-    "default_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "render_json",
-    "render_text",
-]

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.engine import lint_paths, render_json, render_text
-from repro.analysis.rules import default_rules
-
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint flags (shared with the ``repro lint`` subcommand)."""
@@ -37,6 +34,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed ``args``."""
+    # Imported here so building ``repro``'s parser never loads the engine.
+    from repro.analysis.engine import lint_paths, render_json, render_text
+    from repro.analysis.rules import default_rules
+
     if args.list_rules:
         for rule in default_rules():
             print(f"{rule.id}  {rule.title}")

@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 
+from repro.graphs.graph import Graph
+
 #: Bump when the record layout or the semantics of stored fields change;
 #: invalidates every existing store entry.
 STORE_SCHEMA = 1
@@ -34,9 +36,23 @@ def cell_key(identity: dict) -> str:
     return hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
 
 
-def array_fingerprint(arr: np.ndarray | None) -> str | None:
-    """Content hash of an integer array as int64 (None = not supplied)."""
+def array_fingerprint(
+    arr: np.ndarray | None, dtype: type[np.generic] = np.int64
+) -> str | None:
+    """Content hash of an array as ``dtype`` (None = not supplied)."""
     if arr is None:
         return None
-    data = np.ascontiguousarray(arr, dtype=np.int64).tobytes()
+    data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def edges_fingerprint(graph: Graph) -> str:
+    """SHA-256 hex digest of a graph's edge arrays ``(us, vs, weights)``.
+
+    Keys the labeling disk cache and enters every pipeline run identity:
+    two graphs share it only when they have the same edges and weights.
+    """
+    digest = hashlib.sha256()
+    for arr in graph.edge_arrays():
+        digest.update(np.ascontiguousarray(arr))  # its buffer, not a copy
+    return digest.hexdigest()

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro._version import __version__
-from repro.api.identity import STORE_SCHEMA, array_fingerprint, cell_key
+from repro.api.identity import STORE_SCHEMA, array_fingerprint, cell_key, edges_fingerprint
 from repro.api.registry import (
     ENHANCE,
     INITIAL_MAPPING,
@@ -585,7 +585,13 @@ class Pipeline:
             "kind": "pipeline",
             "code": __version__,
             "topology": self.topology.name,
-            "graph": {"name": ga.name, "n": int(ga.n), "m": int(ga.m)},
+            "graph": {
+                "name": ga.name,
+                "n": int(ga.n),
+                "m": int(ga.m),
+                "edges": edges_fingerprint(ga),
+                "vertex_weights": array_fingerprint(ga.vertex_weights, np.float64),
+            },
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
             "config": self.config.identity(),
             "inputs": {

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.api.identity import STORE_SCHEMA, cell_key
+from repro.api.identity import STORE_SCHEMA, cell_key, edges_fingerprint
 from repro.api.registry import REGISTRY, TOPOLOGY
 from repro.errors import ConfigurationError
 from repro.graphs import generators as gen
@@ -344,10 +344,6 @@ def labeling_cache_key(graph: Graph) -> str:
     registrations of the same topology share one cache file and renaming
     never serves stale labels.
     """
-    us, vs, ws = graph.edge_arrays()
-    edges = hashlib.sha256()
-    for arr in (us, vs, ws):
-        edges.update(np.ascontiguousarray(arr).tobytes())
     return cell_key(
         {
             "schema": STORE_SCHEMA,
@@ -355,7 +351,7 @@ def labeling_cache_key(graph: Graph) -> str:
             "cache_schema": _LABELING_CACHE_SCHEMA,
             "code": __version__,
             "graph": {"n": int(graph.n), "m": int(graph.m),
-                      "edges": edges.hexdigest()},
+                      "edges": edges_fingerprint(graph)},
         }
     )
 

@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable end-to-end tracing (deterministic span "
                    "trees in /debug/traces; on by default, <2%% cost)")
     q.add_argument("--trace-buffer", type=int, default=256,
-                   help="traces retained per process in the /debug/traces "
+                   help="traces this server retains in its /debug/traces "
                    "ring buffer")
     q.add_argument("--profile", action="store_true",
                    help="attach cProfile top-frame hotspots to each "

@@ -27,6 +27,7 @@ from repro.graphs.generators.random_graphs import (
     configuration_model,
     powerlaw_degree_sequence,
 )
+from repro.graphs.generators.rmat import MAX_SCALE
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 
@@ -43,6 +44,8 @@ class InstanceSpec:
     builder: Callable[[int, np.random.Generator], Graph]
     #: vertices(n) -> how many vertices builder(n, rng) makes
     vertices: Callable[[int], int] = lambda n: n
+    #: most vertices builder can make (None = no bound of its own)
+    vertex_limit: int | None = None
 
 
 def _config_powerlaw(gamma: float, min_deg: int):
@@ -92,7 +95,7 @@ INSTANCES: tuple[InstanceSpec, ...] = (
     InstanceSpec("as-22july06", 22_963, 48_436, "internet routers",
                  _config_powerlaw(2.1, 1)),
     InstanceSpec("soc-Slashdot0902", 28_550, 379_445, "news network",
-                 _rmat(13), _rmat_vertices),
+                 _rmat(13), _rmat_vertices, 1 << MAX_SCALE),
     InstanceSpec("loc-brightkite_edges", 56_739, 212_945, "location-based friendship",
                  _plc(4, 0.4)),
     InstanceSpec("loc-gowalla_edges", 196_591, 950_327, "location-based friendship",
@@ -102,11 +105,11 @@ INSTANCES: tuple[InstanceSpec, ...] = (
     InstanceSpec("coAuthorsCiteseer", 227_320, 814_134, "citation network",
                  _plc(4, 0.7)),
     InstanceSpec("wiki-Talk", 232_314, 1_458_806, "user interactions",
-                 _rmat(6, a=0.62, b=0.18, c=0.18), _rmat_vertices),
+                 _rmat(6, a=0.62, b=0.18, c=0.18), _rmat_vertices, 1 << MAX_SCALE),
     InstanceSpec("coAuthorsDBLP", 299_067, 977_676, "citation network",
                  _plc(3, 0.7)),
     InstanceSpec("web-Google", 356_648, 2_093_324, "hyperlink network",
-                 _rmat(6, a=0.6, b=0.2, c=0.15), _rmat_vertices),
+                 _rmat(6, a=0.6, b=0.2, c=0.15), _rmat_vertices, 1 << MAX_SCALE),
     InstanceSpec("coPapersCiteseer", 434_102, 16_036_720, "citation network",
                  _ba(8)),
     InstanceSpec("coPapersDBLP", 540_486, 15_245_729, "citation network",

@@ -15,6 +15,9 @@ from repro.graphs.builder import from_arrays
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, make_rng
 
+#: Largest ``scale`` :func:`rmat` accepts: graphs of at most 2**24 vertices.
+MAX_SCALE = 24
+
 
 def rmat(
     scale: int,
@@ -32,8 +35,8 @@ def rmat(
     sums unit weights, so heavily-duplicated pairs end up heavier -- a
     feature: it models hot communication pairs).
     """
-    if scale < 1 or scale > 24:
-        raise ValueError(f"scale must be in [1, 24], got {scale}")
+    if scale < 1 or scale > MAX_SCALE:
+        raise ValueError(f"scale must be in [1, {MAX_SCALE}], got {scale}")
     if edge_factor < 1:
         raise ValueError(f"edge_factor must be >= 1, got {edge_factor}")
     d = 1.0 - a - b - c

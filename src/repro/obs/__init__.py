@@ -6,7 +6,7 @@ stages) and into offline sweeps:
 
 - :mod:`repro.obs.trace` -- spans with *deterministic* ids derived from
   the request's run identity, monotonic-clock durations, a bounded
-  per-process ring buffer, and wire-format contexts that cross process
+  ring buffer per tracer, and wire-format contexts that cross process
   boundaries (HTTP payload field, pool pipe items);
 - :mod:`repro.obs.log` -- a JSON-lines event logger replacing ad-hoc
   prints in serve/, the pool supervisor and the experiment runner
@@ -27,9 +27,7 @@ from repro.obs.trace import (
     TraceBuffer,
     Tracer,
     build_tree,
-    configure_tracer,
     derive_trace_id,
-    get_tracer,
     tree_signature,
 )
 
@@ -40,10 +38,8 @@ __all__ = [
     "TraceBuffer",
     "Tracer",
     "build_tree",
-    "configure_tracer",
     "derive_trace_id",
     "get_logger",
-    "get_tracer",
     "profile_call",
     "set_process_fields",
     "tree_signature",

@@ -1,4 +1,4 @@
-"""Deterministic spans, tracers, and the per-process trace ring buffer.
+"""Deterministic spans, tracers, and the trace ring buffer each tracer owns.
 
 A *span* is one timed operation: name, trace id, span id, parent span
 id, a process role tag, monotonic-clock duration, and free-form
@@ -226,7 +226,7 @@ _NULL_CONTEXT = SpanContext(trace_id="", span_id="", sampled=False)
 
 
 class TraceBuffer:
-    """Bounded per-process ring of finished spans, grouped by trace.
+    """Bounded ring of finished spans, grouped by trace.
 
     Traces evict least-recently-touched once ``max_traces`` is
     exceeded; within a trace, spans past ``max_spans_per_trace`` are
@@ -315,10 +315,12 @@ class TraceBuffer:
 
 
 class Tracer:
-    """Per-process span factory bound to one :class:`TraceBuffer`.
+    """Span factory bound to one :class:`TraceBuffer`.
 
-    ``process`` tags every span with the process's role in the request
-    path (``serve`` / ``pool`` / ``runner`` / ...) --
+    Each owner builds its own: a serve scheduler's tracer belongs to
+    that scheduler, so two services in one process never share a
+    buffer or a switch.  ``process`` tags every span with the process's
+    role in the request path (``serve`` / ``pool`` / ``runner`` / ...) --
     a deterministic label, unlike a pid.
     """
 
@@ -458,50 +460,3 @@ def tree_signature(spans: list[dict]) -> bytes:
     forest = [strip(root) for root in build_tree(spans)]
     return _canonical_json(forest)
 
-
-# -- process-global tracer --------------------------------------------
-
-_tracer_lock = threading.Lock()
-_process_tracer: Tracer | None = None
-
-
-def get_tracer() -> Tracer:
-    """The process-wide tracer (created enabled, default bounds)."""
-    global _process_tracer
-    with _tracer_lock:
-        if _process_tracer is None:
-            _process_tracer = Tracer()
-        return _process_tracer
-
-
-def configure_tracer(
-    process: str | None = None,
-    enabled: bool | None = None,
-    max_traces: int | None = None,
-    max_spans_per_trace: int | None = None,
-) -> Tracer:
-    """(Re)configure the process tracer in place; returns it.
-
-    In place, because worker entry points configure *after* modules
-    holding ``get_tracer()`` results have imported.
-    """
-    tracer = get_tracer()
-    with _tracer_lock:
-        if process is not None:
-            tracer.process = process
-        if enabled is not None:
-            tracer.enabled = bool(enabled)
-        if max_traces is not None or max_spans_per_trace is not None:
-            tracer.buffer = TraceBuffer(
-                max_traces=(
-                    max_traces
-                    if max_traces is not None
-                    else tracer.buffer.max_traces
-                ),
-                max_spans_per_trace=(
-                    max_spans_per_trace
-                    if max_spans_per_trace is not None
-                    else tracer.buffer.max_spans_per_trace
-                ),
-            )
-    return tracer

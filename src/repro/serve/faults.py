@@ -1,7 +1,7 @@
 """Deterministic fault injection for chaos testing the serving tier.
 
 A :class:`FaultPlan` is a frozen, JSON-serializable description of the
-faults one process (and its pool workers) should experience: worker
+faults one scheduler or pool (and its workers) should experience: worker
 kills at specific task indices, injected transient stage errors on a
 fixed item cadence, latency spikes, and npz cache corruption helpers.
 Everything is counter- or seed-driven -- **no wall-clock, no entropy**
@@ -9,11 +9,13 @@ Everything is counter- or seed-driven -- **no wall-clock, no entropy**
 same places, and the chaos tests can assert byte-identical surviving
 payloads.
 
-Activation crosses process boundaries through the ``REPRO_FAULTS``
-environment variable (a JSON object); pool workers read it at startup,
-which is how ``repro serve --faults '{...}'`` reaches the processes the
-supervisor forks later.  An empty/unset variable is the (default)
-no-fault plan, whose hooks all compile down to cheap no-ops.
+A plan reaches worker processes as an argument: a
+:class:`~repro.serve.pool.SupervisedPool` hands its plan to every worker
+it starts, so ``repro serve --faults '{...}'`` reaches only that
+server's own workers.  A scheduler or pool built without a plan reads
+the ``REPRO_FAULTS`` environment variable (a JSON object) once, when it
+is built; nothing here writes it.  An empty/unset variable is the
+(default) no-fault plan, whose hooks all compile down to cheap no-ops.
 
 Worker kills are *generation-scoped*: ``kill_task_indices`` only fire
 in generation-0 workers (the ones the pool started with), so a
@@ -43,7 +45,7 @@ KILL_EXIT_CODE = 137
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One process's deterministic chaos schedule.
+    """One scheduler's or pool's deterministic chaos schedule.
 
     Attributes
     ----------
@@ -117,13 +119,6 @@ class FaultPlan:
         """The plan named by ``REPRO_FAULTS`` (no-fault plan when unset)."""
         raw = os.environ.get(FAULTS_ENV, "")
         return cls.from_json(raw) if raw.strip() else cls()
-
-    def install(self) -> None:
-        """Export this plan so child processes (pool workers) inherit it."""
-        if self.active:
-            os.environ[FAULTS_ENV] = self.to_json()
-        else:
-            os.environ.pop(FAULTS_ENV, None)
 
 
 @dataclass

@@ -105,7 +105,7 @@ def _sendable(exc: BaseException) -> Exception:
         return PermanentError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(conn, parent_conn, runner, generation: int) -> None:
+def _worker_main(conn, parent_conn, runner, generation: int, plan: FaultPlan) -> None:
     """Worker process loop: receive payloads and tasks, send results.
 
     The worker first closes its copy of the pipe's parent end: while any
@@ -119,12 +119,12 @@ def _worker_main(conn, parent_conn, runner, generation: int) -> None:
     replaces both, and a ``forget`` message drops both.  Unpickling
     happens inside the task's ``try``, so a payload that cannot be
     rebuilt here fails its task's items instead of killing the worker.
-    Fault hooks run *inside* the worker so an injected kill takes down
-    a real process and exercises the supervisor's actual recovery path.
+    Fault hooks run *inside* the worker, from the pool's ``plan``, so an
+    injected kill takes down a real process and exercises the
+    supervisor's actual recovery path.
     """
     parent_conn.close()
     set_process_fields(worker_generation=generation)
-    plan = FaultPlan.from_env()
     clock = FaultClock()
     blobs: dict[str, bytes] = {}
     contexts: dict[str, object] = {}
@@ -209,6 +209,9 @@ class SupervisedPool:
     max_item_retries:
         how many times a *singleton* task may crash its worker before
         the item is failed with :class:`PoisonRequestError`.
+    faults:
+        the :class:`FaultPlan` every worker runs its hooks from (``None``
+        reads ``REPRO_FAULTS`` once, here).
     """
 
     def __init__(
@@ -217,6 +220,7 @@ class SupervisedPool:
         workers: int = 2,
         max_item_retries: int = 1,
         name: str = "pool",
+        faults: FaultPlan | None = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"pool needs >= 1 worker, got {workers}")
@@ -227,6 +231,7 @@ class SupervisedPool:
         self._ctx = preferred_mp_context()
         self._max_item_retries = int(max_item_retries)
         self._name = name
+        self._faults = faults if faults is not None else FaultPlan.from_env()
         self._lock = threading.Lock()
         self._pending: deque[_Task] = deque()
         #: payloads of queued or running tasks, by key
@@ -334,7 +339,7 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, parent_conn, self._runner, generation),
+            args=(child_conn, parent_conn, self._runner, generation, self._faults),
             daemon=True,
             name=f"{self._name}-w{next(self._worker_ids)}g{generation}",
         )

@@ -81,10 +81,15 @@ from repro.errors import (
     ReproError,
     TransientError,
 )
-from repro.experiments.instances import generate_instance, instance_names, max_vertices
+from repro.experiments.instances import (
+    generate_instance,
+    get_instance,
+    instance_names,
+    max_vertices,
+)
 from repro.graphs.builder import from_edges
 from repro.graphs.graph import _EXACT_LIMIT, Graph
-from repro.obs import get_tracer, profile_call
+from repro.obs import profile_call
 from repro.obs.trace import SpanContext, TraceBuffer, Tracer
 from repro.serve.cache import (
     DEFAULT_RESPONSE_CACHE_BYTES,
@@ -198,6 +203,13 @@ class GraphSpec:
             raise ConfigurationError(
                 f"n_max must be >= n_min ({self.n_min}), got {self.n_max}"
             )
+        if self.kind == "generate":
+            limit = get_instance(self.instance).vertex_limit
+            if limit is not None and self.max_vertices() > limit:
+                raise ConfigurationError(
+                    f"graph n_max: {self.instance} builds at most {limit} "
+                    f"vertices, this sizing asks for {self.max_vertices()}"
+                )
         if self.kind == "edges" and self.n is None:
             raise ConfigurationError("inline graph spec needs a vertex count 'n'")
         if self.n is not None:
@@ -430,8 +442,9 @@ class BatchScheduler:
         per-group circuit-breaker tuning (consecutive service-side
         failures to open; seconds before a half-open probe).
     faults:
-        deterministic :class:`FaultPlan` for chaos testing; installed
-        into the environment so pool workers inherit it.
+        deterministic :class:`FaultPlan` for chaos testing (``None``
+        reads ``REPRO_FAULTS`` once, here).  It drives this scheduler's
+        own compute, in-process or on its pool's workers, and no other.
     response_cache_size / response_cache_bytes:
         entry-count and byte bounds on the cross-batch response cache
         checked on the hot path before admission (either 0 disables).
@@ -475,7 +488,7 @@ class BatchScheduler:
         self.response_cache = ResponseCache(
             max_entries=response_cache_size, max_bytes=response_cache_bytes
         )
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.profile = bool(profile)
         self._fault_clock = FaultClock()
         self._groups: dict[str, _Group] = {}
@@ -491,8 +504,9 @@ class BatchScheduler:
         self.workers = int(workers)
         self._pool: SupervisedPool | None = None
         if workers > 0:
-            self.faults.install()  # pool workers read REPRO_FAULTS at start
-            self._pool = SupervisedPool(_pool_run, workers=workers, name="repro-serve")
+            self._pool = SupervisedPool(
+                _pool_run, workers=workers, name="repro-serve", faults=self.faults
+            )
         #: compute slots not running a dispatch; one per executor thread,
         #: so a dispatched batch never waits for a thread
         self._free_slots = max(1, workers)

@@ -44,8 +44,8 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from repro.obs import configure_tracer, get_logger
-from repro.obs.trace import WIRE_KEY, SpanContext
+from repro.obs import get_logger
+from repro.obs.trace import WIRE_KEY, SpanContext, TraceBuffer, Tracer
 
 from repro.api.pipeline import PipelineConfig
 from repro.api.registry import REGISTRY, TOPOLOGY
@@ -717,7 +717,7 @@ class ServeSettings:
     #: end-to-end tracing (deterministic span trees in /debug/traces);
     #: cheap enough to default on -- the bench gates overhead at <= 2%
     trace: bool = True
-    #: trace ring-buffer bound (traces retained per process)
+    #: trace ring-buffer bound (traces this service retains)
     trace_buffer: int = 256
     #: attach cProfile top-K hotspot frames to every compute span
     profile: bool = False
@@ -733,15 +733,10 @@ def build_service(settings: ServeSettings) -> MappingService:
     )
     if settings.warm:
         cache.warm(settings.warm)
-    plan = (
-        FaultPlan.from_json(settings.faults)
-        if settings.faults
-        else FaultPlan.from_env()
-    )
-    tracer = configure_tracer(
+    tracer = Tracer(
         process="serve",
+        buffer=TraceBuffer(max_traces=settings.trace_buffer),
         enabled=settings.trace,
-        max_traces=settings.trace_buffer,
     )
     scheduler = BatchScheduler(
         max_batch=settings.max_batch,
@@ -756,7 +751,7 @@ def build_service(settings: ServeSettings) -> MappingService:
         ),
         breaker_threshold=settings.breaker_threshold,
         breaker_reset_s=settings.breaker_reset_s,
-        faults=plan,
+        faults=FaultPlan.from_json(settings.faults) if settings.faults else None,
         response_cache_size=settings.response_cache,
         response_cache_bytes=settings.response_cache_bytes,
         tracer=tracer,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis.engine import lint_paths
 from repro.analysis.cli import main as lint_main
 
 SRC = Path(__file__).resolve().parents[2] / "src"

@@ -11,6 +11,7 @@ from repro.core.enhancer import timer_enhance
 from repro.errors import ConfigurationError, MappingError
 from repro.experiments.topologies import make_topology
 from repro.graphs import generators as gen
+from repro.graphs.builder import from_arrays
 from repro.mapping.mapper import compute_initial_mapping
 from repro.mapping.objective import coco
 from repro.partitioning.kway import partition_kway
@@ -114,6 +115,24 @@ class TestLegacyByteEquivalence:
         # same supplied content -> same hash
         rerun_a = pipe.run(app_graph, partition=part_a, seed=3)
         assert rerun_a.identity_hash == run_a.identity_hash
+
+    def test_graph_content_enters_the_hash(self):
+        """Same name, n and m but other edges or vertex weights: other hash."""
+        pipe = Pipeline("grid4x4")
+        graphs = []
+        for seed in (1, 2):
+            g = gen.barabasi_albert(64, 2, seed=seed)
+            graphs.append(from_arrays(g.n, *g.edge_arrays(), name="g"))
+        a, b = (pipe.run(g, seed=1) for g in graphs)
+        assert (a.identity["graph"]["n"], a.identity["graph"]["m"]) == (
+            b.identity["graph"]["n"], b.identity["graph"]["m"]
+        )
+        assert not np.array_equal(a.mu_final, b.mu_final)
+        assert a.identity_hash != b.identity_hash
+        g = graphs[0]
+        heavy = from_arrays(g.n, *g.edge_arrays(), vertex_weights=np.full(g.n, 2.0), name="g")
+        assert pipe.run(heavy, seed=1).identity_hash != a.identity_hash
+        assert pipe.run(graphs[0], seed=1).identity_hash == a.identity_hash
 
     def test_partition_stage_timing_uses_instance_name(self, app_graph):
         class NamedPartition:

@@ -1,6 +1,6 @@
 """``Pipeline.run_batch(jobs>1)`` on the supervised pool: crash isolation,
 and the import boundaries that keep ``repro.serve`` and the experiment
-harness out of ``repro.api``."""
+harness out of ``repro.api``, and the lint engine out of ``repro.cli``."""
 
 import ast
 import os
@@ -102,3 +102,8 @@ def test_importing_repro_api_loads_no_serve_module():
         "repro.experiments",
         "repro.experiments.instances",
     ]
+    # Building the CLI's parser leaves the lint engine unloaded.
+    cli = _modules_after("import repro.cli\n")
+    assert "repro.analysis.cli" in cli
+    assert "repro.analysis.engine" not in cli
+    assert "repro.analysis.rules" not in cli

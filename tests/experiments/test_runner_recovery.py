@@ -25,6 +25,8 @@ def _config(**overrides):
 
 @pytest.fixture(autouse=True)
 def clean_faults():
+    # Keeps a plan set in the developer's shell out of these tests (sweep
+    # pools read REPRO_FAULTS when they are built), and puts it back.
     import os
 
     saved = os.environ.pop(FAULTS_ENV, None)

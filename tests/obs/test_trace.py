@@ -10,10 +10,8 @@ from repro.obs.trace import (
     TraceBuffer,
     Tracer,
     build_tree,
-    configure_tracer,
     derive_span_id,
     derive_trace_id,
-    get_tracer,
     tree_signature,
 )
 
@@ -242,12 +240,18 @@ class TestSnapshotsAndMerge:
         assert len(snap["slowest"]) == 1
 
 
-class TestProcessGlobalTracer:
-    def test_configure_reconfigures_in_place(self):
-        tracer = get_tracer()
-        before = configure_tracer(process="test-proc", enabled=True)
-        assert before is tracer
-        assert get_tracer().process == "test-proc"
-        configure_tracer(max_traces=7)
-        assert get_tracer().buffer.max_traces == 7
-        configure_tracer(process="repro", enabled=True, max_traces=256)
+class TestServiceOwnsItsTracer:
+    def test_a_second_service_leaves_the_first_ones_tracer_alone(self):
+        from repro.serve.service import ServeSettings, build_service
+
+        first = build_service(ServeSettings(trace=False, trace_buffer=8))
+        second = build_service(ServeSettings(trace=True, trace_buffer=256))
+        try:
+            assert first.tracer is not second.tracer
+            assert first.tracer.enabled is False
+            assert first.tracer.buffer.max_traces == 8
+            assert first.tracer.process == "serve"
+            assert second.tracer.buffer.max_traces == 256
+        finally:
+            first.scheduler.close()
+            second.scheduler.close()

@@ -4,6 +4,7 @@ direct ``Pipeline.run`` -- fault tolerance never buys approximation on
 the non-degraded path."""
 
 import asyncio
+import os
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.errors import (
     PoisonRequestError,
     TransientError,
 )
+from repro.graphs import generators as gen
 from repro.serve.faults import FAULTS_ENV, FaultPlan
 from repro.serve.retry import CircuitBreaker, RetryPolicy
 from repro.serve.scheduler import (
@@ -28,12 +30,8 @@ from repro.serve.service import parse_config
 
 @pytest.fixture(autouse=True)
 def no_fault_leakage():
-    # Pool-backed schedulers export their plan into the environment for
-    # worker startup (FaultPlan.install); monkeypatch.delenv on an
-    # *absent* variable records nothing to restore, so save/restore by
-    # hand or one test's chaos leaks into every later test.
-    import os
-
+    # Keeps a plan set in the developer's shell out of these tests (a
+    # scheduler built without a plan reads REPRO_FAULTS), and puts it back.
     saved = os.environ.pop(FAULTS_ENV, None)
     yield
     if saved is None:
@@ -122,6 +120,20 @@ class TestWorkerCrashRecovery:
             assert np.array_equal(served.result.mu_final, d.mu_final)
         assert metrics["poisoned_requests"] == 1
         assert metrics["failures_total"]["PoisonRequestError"] == 1
+
+
+class TestPlanScope:
+    def test_closed_chaos_scheduler_leaves_no_plan_behind(self):
+        # The plan reaches only this scheduler's own pool workers, so a
+        # later pool in the same process computes without faults.
+        BatchScheduler(workers=2, faults=FaultPlan(item_error_every=2)).close()
+        assert FAULTS_ENV not in os.environ
+        pipe = Pipeline("grid4x4", parse_config({"nh": 1}))
+        graphs = [gen.barabasi_albert(48 + 8 * i, 2, seed=i) for i in range(4)]
+        pooled = pipe.run_batch(graphs, seed=1, jobs=2)
+        inline = pipe.run_batch(graphs, seed=1)
+        for a, b in zip(pooled, inline):
+            assert np.array_equal(a.mu_final, b.mu_final)
 
 
 class TestRetries:

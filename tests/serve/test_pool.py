@@ -36,6 +36,8 @@ def _crash_on_marker(_ctx, item):
 
 @pytest.fixture(autouse=True)
 def no_inherited_faults():
+    # Keeps a plan set in the developer's shell out of these tests (a
+    # pool built without a plan reads REPRO_FAULTS), and puts it back.
     saved = os.environ.pop(FAULTS_ENV, None)
     yield
     if saved is None:

@@ -10,6 +10,7 @@ import pytest
 from repro.api.pipeline import Pipeline
 from repro.errors import ReproError
 from repro.graphs import generators as gen
+from repro.graphs.generators.rmat import MAX_SCALE, rmat
 from repro.obs.trace import Tracer
 from repro.serve.loadgen import http_request_json
 from repro.serve.scheduler import BatchScheduler, GraphSpec
@@ -568,6 +569,25 @@ class TestGraphSizeLimit:
         assert status == 400
         assert "allows 256 vertices; this server admits at most 129" in reply["message"]
         assert svc.metrics.render_json()["requests_total"] == 0
+
+    @pytest.mark.parametrize("instance", ["soc-Slashdot0902", "wiki-Talk", "web-Google"])
+    def test_rmat_sizing_past_its_largest_scale_refused(self, instance):
+        """Past 2**24 vertices R-MAT cannot build: 400 at parse time."""
+        graph = {"kind": "generate", "instance": instance,
+                 "n_min": 2**24 + 1, "n_max": 2**24 + 1}
+        svc = MappingService(BatchScheduler())
+        try:
+            status, reply, _ = asyncio.run(svc.handle("map", _map_body() | {"graph": graph}))
+        finally:
+            svc.scheduler.close()
+        assert status == 400 and reply["error"] == "bad_request"
+        assert reply["message"].startswith("graph n_max:")
+        assert "at most 16777216 vertices" in reply["message"]
+        assert svc.metrics.render_json()["requests_total"] == 0
+        largest = GraphSpec.from_wire(graph | {"n_min": 2**24, "n_max": 2**24})
+        assert largest.max_vertices() == 1 << MAX_SCALE
+        with pytest.raises(ValueError, match=f"scale must be in \\[1, {MAX_SCALE}\\]"):
+            rmat(MAX_SCALE + 1, 1)
 
     @pytest.mark.parametrize(
         "workers,start", [(0, None), (1, "fork"), (1, "spawn")],
